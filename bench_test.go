@@ -229,7 +229,7 @@ func BenchmarkAblation_ChunkSize(b *testing.B) {
 // the "set operations in constant time" implementation note of §5.
 func BenchmarkAblation_SetAsMapKey(b *testing.B) {
 	r := dataset(b, 20, 2000, 0.3)
-	res, err := agree.FromRelation(context.Background(), r)
+	res, err := agree.Identifiers(context.Background(), partition.NewDatabase(r), agree.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func BenchmarkAblation_SetAsMapKey(b *testing.B) {
 func BenchmarkAblation_Transversal(b *testing.B) {
 	b.ReportAllocs()
 	r := dataset(b, 20, 2000, 0.3)
-	res, err := agree.FromRelation(context.Background(), r)
+	res, err := agree.Identifiers(context.Background(), partition.NewDatabase(r), agree.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func BenchmarkAblation_Transversal(b *testing.B) {
 // hypergraphs of a benchmark relation (DESIGN.md §5, item 4).
 func BenchmarkAblation_TransversalAlgorithm(b *testing.B) {
 	r := dataset(b, 15, 2000, 0.3)
-	res, err := agree.FromRelation(context.Background(), r)
+	res, err := agree.Identifiers(context.Background(), partition.NewDatabase(r), agree.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -87,7 +87,7 @@ func BenchmarkHotpathAgreeIdentifiers(b *testing.B) {
 // transversal search over every per-attribute cmax hypergraph.
 func BenchmarkHotpathTransversal(b *testing.B) {
 	r := dataset(b, 20, 2000, 0.3)
-	res, err := agree.FromRelation(context.Background(), r)
+	res, err := agree.Identifiers(context.Background(), partition.NewDatabase(r), agree.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -6,18 +6,27 @@
 // provided:
 //
 //   - Naive: direct O(n·p²) pairwise scan of the relation — the baseline
-//     the paper's introduction rules out for large relations.
-//     (It remains strictly sequential: the reference implementation.)
-//   - Couples (Algorithm 2 / "Dep-Miner"): generate the tuple couples of
-//     the maximal equivalence classes MC (Lemma 1), then sweep the
-//     stripped partitions once, adding attribute A to ag(t,t') whenever
-//     both tuples share a class of π̂_A. Couples are processed in chunks of
-//     at most ChunkSize to bound memory, exactly like the paper's
+//     the paper's introduction rules out for large relations, and the
+//     test oracle of the other two. (It remains strictly sequential.)
+//   - Couples (Algorithm 2 / "Dep-Miner"): sweep the stripped partitions
+//     once per chunk of MC couples, adding attribute A to ag(t,t')
+//     whenever both tuples share a class of π̂_A. Chunks hold at most
+//     ChunkSize couples to bound memory, exactly like the paper's
 //     "computing agree sets as soon as a fixed number of couples was
 //     generated".
 //   - Identifiers (Algorithm 3 / "Dep-Miner 2"): build, per tuple, the
 //     list ec(t) of equivalence-class identifiers containing t; then
 //     ag(ti,tj) is read off the intersection ec(ti) ∩ ec(tj) (Lemma 2).
+//
+// Algorithms 2 and 3 walk the same couple set — the couples of the
+// maximal equivalence classes MC (Lemma 1) — and differ only in how one
+// couple's agree set is computed. They therefore share one engine: a
+// Plan fixes the globally sorted deduplicated couple list, and one
+// parallel sweep (Plan.sweep) runs either kernel over any contiguous
+// range of it. The single-node computation (Plan.Compute, behind Couples
+// and Identifiers) is the one-shard case of the distributed one
+// (Plan.ComputeShard, see shard.go): the same sweep over the whole range,
+// followed by the canonical tail.
 //
 // All three return the deduplicated set family ag(r); the empty agree set
 // is included when some couple of tuples disagrees everywhere, matching
@@ -34,17 +43,17 @@
 // end — instead of through hash maps, which profile far behind at
 // benchmark scale (see DESIGN.md §9).
 //
-// Couples and Identifiers parallelise across Options.Workers goroutines
-// by partitioning the couple list; every worker accumulates into a
-// private sorted run and the merged family is emitted in canonical order,
-// so results are byte-identical for any worker count.
+// The sweep parallelises across Options.Workers goroutines by
+// partitioning the couple range; every worker accumulates into a private
+// sorted run and the merged family is emitted in canonical order, so
+// results are byte-identical for any worker count.
 package agree
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"slices"
+	"sync"
 
 	"repro/internal/attrset"
 	"repro/internal/extsort"
@@ -59,24 +68,6 @@ import (
 // the couples algorithm. The paper uses "a threshold (associated to the
 // number of tuples)"; 1<<20 couples ≈ 8 MB of couple state.
 const DefaultChunkSize = 1 << 20
-
-// ErrTooManyCouples reports that Algorithm 2's couple space exceeds the
-// configured degradation threshold — the signal on which core.Discover
-// falls back to Algorithm 3 (the paper's own remedy for correlated
-// relations, whose couple blow-up §5.2 demonstrates).
-var ErrTooManyCouples = errors.New("agree: couple count exceeds threshold")
-
-// CoupleOverflowError carries the couple count that crossed the
-// Options.MaxCouples threshold. It wraps ErrTooManyCouples.
-type CoupleOverflowError struct {
-	Couples, Max int
-}
-
-func (e *CoupleOverflowError) Error() string {
-	return fmt.Sprintf("agree: %d couples exceed the %d-couple threshold", e.Couples, e.Max)
-}
-
-func (e *CoupleOverflowError) Unwrap() error { return ErrTooManyCouples }
 
 // Result is the outcome of an agree-set computation.
 type Result struct {
@@ -135,10 +126,6 @@ type Options struct {
 	// runtime.GOMAXPROCS(0), 1 the sequential reference path. Results are
 	// byte-identical for every value.
 	Workers int
-	// MaxCouples makes Couples refuse inputs whose couple space exceeds
-	// the threshold, returning a *CoupleOverflowError before any sweep
-	// work — the degradation signal core.Discover reacts to. 0 disables.
-	MaxCouples int
 	// Budget governs the computation: the couple count and the agree
 	// sets produced are charged against it, and each chunk/stride passes
 	// a deadline checkpoint. On overrun the partial Result accumulated so
@@ -199,8 +186,7 @@ func generateCouples(mc [][]int) []uint64 {
 // word order (rawCompare) — an arbitrary but consistent total order
 // whose comparisons cost four word compares, against the canonical
 // Compare's eight popcounts; only the final deduplicated family (far
-// smaller than the batches) is re-sorted canonically, by mergeAccums or
-// the caller. Merges across workers are order-insensitive.
+// smaller than the batches) is re-sorted canonically. Merges across workers are order-insensitive.
 //
 // With a spiller attached, a run that grows past limit bytes is flushed
 // to disk and the in-memory accumulation restarts empty; the spilled
@@ -263,13 +249,9 @@ func mergeSets(dst, a, b []attrset.Set) []attrset.Set {
 	return dst
 }
 
-// mergeAccums folds per-worker sorted runs — plus any runs the workers
-// spilled to disk — into one deduplicated family and sorts it
-// canonically. Merging is order-insensitive, so the result depends
-// neither on how couples were distributed across workers nor on where
-// spill boundaries fell: the family is byte-identical to the all-in-RAM
-// path for every threshold and worker count.
-func mergeAccums(locals []*workerState, sp *extsort.Spiller) (attrset.Family, error) {
+// workerRuns lists the non-empty in-memory runs the workers hold, and
+// their total length.
+func workerRuns(locals []*workerState) ([][]attrset.Set, int) {
 	runs := make([][]attrset.Set, 0, len(locals))
 	total := 0
 	for _, w := range locals {
@@ -278,28 +260,32 @@ func mergeAccums(locals []*workerState, sp *extsort.Spiller) (attrset.Family, er
 			total += len(w.accum.sorted)
 		}
 	}
-	if sp != nil && sp.Runs() > 0 {
-		// Streaming k-way merge over disk readers and in-memory runs. The
-		// capacity estimate counts cross-run duplicates once each, so it
-		// can overshoot; clip before the canonical sort.
-		out := make(attrset.Family, 0, total+int(sp.Stats().SpilledSets))
-		err := sp.Merge(runs, func(s attrset.Set) error {
-			out = append(out, s)
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		out = attrset.Family(slices.Clip(out))
-		out.Sort()
-		return out, nil
+	return runs, total
+}
+
+// mergeAccums folds per-worker sorted runs — plus any runs the workers
+// spilled to disk — into one deduplicated family in raw run order; the
+// canonical sort is the caller's. Merging is order-insensitive, so the
+// result depends neither on how couples were distributed across workers
+// nor on where spill boundaries fell: the family is byte-identical to
+// the all-in-RAM path for every threshold and worker count.
+func mergeAccums(locals []*workerState, sp *extsort.Spiller) (attrset.Family, error) {
+	runs, total := workerRuns(locals)
+	if sp == nil || sp.Runs() == 0 {
+		return attrset.Family(mergeRuns(runs)), nil
 	}
-	out := attrset.Family(mergeRuns(runs))
-	if out == nil {
-		out = attrset.Family{}
+	// Streaming k-way merge over disk readers and in-memory runs. The
+	// capacity estimate counts cross-run duplicates once each, so it can
+	// overshoot; clip it.
+	out := make(attrset.Family, 0, total+int(sp.Stats().SpilledSets))
+	err := sp.Merge(runs, func(s attrset.Set) error {
+		out = append(out, s)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	out.Sort()
-	return out, nil
+	return slices.Clip(out), nil
 }
 
 // mergeRuns folds sorted deduplicated runs into one via balanced pairwise
@@ -356,71 +342,163 @@ func mergeRuns(runs [][]attrset.Set) []attrset.Set {
 // every chunk or stride the worker processes.
 type workerState struct {
 	accum setAccum
-	// chunk sweep scratch (Couples only):
+	// chunk sweep scratch (Algorithm 2 only):
 	ag      []attrset.Set // per-couple agree state
 	counts  []int32       // counting layout of couples by first tuple
 	inClass []bool        // per-class membership marks
-	// identifier scratch (Identifiers only):
+	// identifier scratch (Algorithm 3 only):
 	batch []attrset.Set // per-stride batch before absorption
 }
 
-// Couples computes ag(r) with Algorithm 2 (AGREE_SET): couples from MC,
-// swept against every stripped partition, chunked to bound memory. Chunks
-// are independent (each sweeps the partitions for its own couples only),
-// so they are distributed over Options.Workers goroutines; per-worker
-// sorted runs are merged and emitted in canonical order, making the
-// result independent of worker count and scheduling.
-func Couples(ctx context.Context, db *partition.Database, opts Options) (*Result, error) {
-	mc := db.MaximalClasses()
-	couples := generateCouples(mc)
-	res := &Result{Couples: len(couples)}
-	if opts.MaxCouples > 0 && len(couples) > opts.MaxCouples {
-		return nil, &CoupleOverflowError{Couples: len(couples), Max: opts.MaxCouples}
-	}
+// Variant selects which kernel the sweep runs per couple: Algorithm 2
+// (couples swept against the stripped partitions) or Algorithm 3
+// (identifier intersection). Every shard of one discovery must use the
+// same variant; core.AgreeVariant decides it once, from the total couple
+// count, for single-node and sharded runs alike.
+type Variant int
 
-	chunk := opts.chunkSize()
-	nChunks := (len(couples) + chunk - 1) / chunk
-	res.Chunks = nChunks
-	if nChunks == 0 {
-		res.Chunks = 1
+const (
+	VariantCouples Variant = iota
+	VariantIdentifiers
+)
+
+// Plan is the shared frame of one agree-set computation: the
+// stripped-partition database and its globally sorted deduplicated couple
+// list (the couples of MC, Lemma 1). It is built once per discovery; the
+// single-node computation (Compute) and every shard (ComputeShard) sweep
+// ranges of the same list. Coordinator and workers each build a Plan from
+// the same relation bytes; equality of the couple count is the cheap
+// structural check that they did. The identifier arena is built lazily,
+// once, and shared by concurrent sweeps.
+type Plan struct {
+	db      *partition.Database
+	couples []uint64
+
+	ecOnce sync.Once
+	ecOff  []int32
+	ec     []uint64
+}
+
+// NewPlan builds the couple list for db.
+func NewPlan(db *partition.Database) *Plan {
+	return &Plan{db: db, couples: generateCouples(db.MaximalClasses())}
+}
+
+// Couples returns the total couple count — the space Split partitions,
+// and the figure the Algorithm 2 → 3 degradation is decided on.
+func (p *Plan) Couples() int { return len(p.couples) }
+
+func (p *Plan) ecIndex() ([]int32, []uint64) {
+	p.ecOnce.Do(func() {
+		p.ecOff, p.ec = buildECIndex(p.db)
+	})
+	return p.ecOff, p.ec
+}
+
+// Couples computes ag(r) with Algorithm 2 (AGREE_SET): the single-node
+// sweep of db's whole couple space, chunked to bound memory.
+func Couples(ctx context.Context, db *partition.Database, opts Options) (*Result, error) {
+	return NewPlan(db).Compute(ctx, VariantCouples, opts)
+}
+
+// Identifiers computes ag(r) with Algorithm 3 (AGREE_SET 2): per-tuple
+// equivalence-class identifier lists, intersected per MC couple (Lemma 2).
+// It is the "Dep-Miner 2" variant of the evaluation, more efficient when
+// equivalence classes are large or numerous.
+func Identifiers(ctx context.Context, db *partition.Database, opts Options) (*Result, error) {
+	return NewPlan(db).Compute(ctx, VariantIdentifiers, opts)
+}
+
+// Compute is the single-node agree-set computation: the sweep of the
+// whole couple space with variant v, then the canonical tail — merge the
+// per-worker runs, sort once, complete ∅ (Finish). The couple count is
+// charged to opts.Budget before the sweep and the family size after it.
+// On a governed overrun the partial Result accumulated so far is
+// returned together with the guard error.
+func (p *Plan) Compute(ctx context.Context, v Variant, opts Options) (*Result, error) {
+	res := &Result{Couples: len(p.couples), Chunks: 1}
+	if v == VariantCouples {
+		res.Chunks = max(1, (len(p.couples)+opts.chunkSize()-1)/opts.chunkSize())
 	}
-	if err := opts.Budget.Charge("agree", len(couples)); err != nil {
+	if err := opts.Budget.Charge("agree", len(p.couples)); err != nil {
 		return res, err
 	}
-
-	workers := pool.Resolve(opts.Workers)
-	locals, sp := makeWorkers(workers, opts)
-	defer func() {
-		if sp != nil {
+	locals, sp, err := p.sweep(ctx, p.couples, v, opts)
+	if sp != nil {
+		defer func() {
 			res.Spill = sp.Stats()
 			sp.Close()
+		}()
+	}
+	if err != nil {
+		// Governed outcomes (budget, deadline, contained panic) keep the
+		// agree sets the workers accumulated before the overrun — pool.Run
+		// has joined every worker by the time it returns, so the locals
+		// are safe to merge — while cancellations and ordinary errors
+		// discard the result. The empty-set completion is skipped: it is
+		// only meaningful for a full sweep. When merging the partial runs
+		// itself fails (a damaged spill file, say), the partial carries no
+		// family at all — never a silently truncated one.
+		if !guard.Governed(err) {
+			return nil, fmt.Errorf("agree: sweep cancelled: %w", err)
 		}
-	}()
-	full := attrset.Universe(db.Arity())
-	err := pool.Run(ctx, workers, nChunks, func(_ context.Context, w, t int) error {
-		if err := faultinject.Fire(faultinject.AgreeChunk); err != nil {
+		if sets, merr := mergeAccums(locals, sp); merr == nil {
+			sets.Sort()
+			res.Sets = sets
+		}
+		return res, err
+	}
+	sets, err := mergeAccums(locals, sp)
+	if err != nil {
+		return nil, fmt.Errorf("agree: merging sweep runs: %w", err)
+	}
+	res.Sets = p.Finish(sets)
+	if err := opts.Budget.Charge("agree", len(res.Sets)); err != nil {
+		return res, err
+	}
+	return res, nil
+}
+
+// sweep is the one parallel pass of the engine: it runs variant v's
+// kernel over couples — a contiguous range of the plan's list — in
+// tasks of one chunk (Algorithm 2) or one stride (Algorithm 3),
+// distributed over opts.Workers goroutines. Each task fires the
+// variant's fault point and passes a deadline checkpoint. Every worker's
+// deduplicated agree sets are left as a sorted run in its accumulator
+// (plus any runs spilled through the returned spiller, which the caller
+// must close); merging them is the caller's tail.
+func (p *Plan) sweep(ctx context.Context, couples []uint64, v Variant, opts Options) ([]*workerState, *extsort.Spiller, error) {
+	stride, point := opts.chunkSize(), faultinject.AgreeChunk
+	var ecOff []int32
+	var ec []uint64
+	if v == VariantIdentifiers {
+		stride, point = identifierStride, faultinject.AgreeStride
+		ecOff, ec = p.ecIndex()
+	}
+	workers := pool.Resolve(opts.Workers)
+	locals, sp := makeWorkers(workers, opts)
+	full := attrset.Universe(p.db.Arity())
+	tasks := (len(couples) + stride - 1) / stride
+	err := pool.Run(ctx, workers, tasks, func(taskCtx context.Context, w, t int) error {
+		if err := faultinject.Fire(point); err != nil {
 			return err
 		}
 		if err := opts.Budget.Checkpoint("agree"); err != nil {
 			return err
 		}
-		start := t * chunk
-		end := min(start+chunk, len(couples))
+		sub := couples[t*stride : min((t+1)*stride, len(couples))]
 		ws := locals[w]
-		return ws.accum.absorb(processChunk(db, couples[start:end], full, ws))
+		if v == VariantIdentifiers {
+			var err error
+			ws.batch, err = intersectStride(taskCtx, ec, ecOff, sub, full, ws.batch[:0])
+			if err != nil {
+				return err
+			}
+			return ws.accum.absorb(ws.batch)
+		}
+		return ws.accum.absorb(processChunk(p.db, sub, full, ws))
 	})
-	if err != nil {
-		return governedPartial(res, locals, sp, err, "couples scan")
-	}
-	sets, err := mergeAccums(locals, sp)
-	if err != nil {
-		return nil, fmt.Errorf("agree: merging couples-scan runs: %w", err)
-	}
-	res.Sets = addEmptyIfUncovered(db, len(couples), sets)
-	if err := opts.Budget.Charge("agree", len(res.Sets)); err != nil {
-		return res, err
-	}
-	return res, nil
+	return locals, sp, err
 }
 
 // makeWorkers builds the per-worker accumulators, attaching a spiller
@@ -443,28 +521,6 @@ func makeWorkers(workers int, opts Options) ([]*workerState, *extsort.Spiller) {
 		ws.accum.limit = perWorker
 	}
 	return locals, sp
-}
-
-// governedPartial classifies a sweep failure: governed outcomes (budget,
-// deadline, contained panic) keep the agree sets the workers accumulated
-// before the overrun — pool.Run has joined every worker by the time it
-// returns, so the locals are safe to merge — while cancellations and
-// ordinary errors discard the result as before. The empty-set completion
-// is skipped on the partial path: it is only meaningful for a full sweep.
-// When merging the partial runs itself fails (a damaged spill file, say),
-// the partial is returned with no family at all — never a silently
-// truncated one.
-func governedPartial(res *Result, locals []*workerState, sp *extsort.Spiller, err error, what string) (*Result, error) {
-	if !guard.Governed(err) {
-		return nil, fmt.Errorf("agree: %s cancelled: %w", what, err)
-	}
-	sets, merr := mergeAccums(locals, sp)
-	if merr != nil {
-		res.Sets = nil
-		return res, err
-	}
-	res.Sets = sets
-	return res, err
 }
 
 // addEmptyIfUncovered inserts the empty agree set when some couple of
@@ -554,63 +610,6 @@ func processChunk(db *partition.Database, chunk []uint64, full attrset.Set, ws *
 // load and keep cancellation latency low.
 const identifierStride = 1 << 13
 
-// Identifiers computes ag(r) with Algorithm 3 (AGREE_SET 2): per-tuple
-// equivalence-class identifier lists, intersected per MC couple (Lemma 2).
-// It is the "Dep-Miner 2" variant of the evaluation, more efficient when
-// equivalence classes are large or numerous. The couple list is split
-// into fixed strides distributed over Options.Workers goroutines, with
-// per-worker sorted runs merged in canonical order (deterministic output
-// for any worker count).
-func Identifiers(ctx context.Context, db *partition.Database, opts Options) (*Result, error) {
-	ecOff, ec := buildECIndex(db)
-	mc := db.MaximalClasses()
-	couples := generateCouples(mc)
-	res := &Result{Chunks: 1, Couples: len(couples)}
-	if err := opts.Budget.Charge("agree", len(couples)); err != nil {
-		return res, err
-	}
-
-	workers := pool.Resolve(opts.Workers)
-	locals, sp := makeWorkers(workers, opts)
-	defer func() {
-		if sp != nil {
-			res.Spill = sp.Stats()
-			sp.Close()
-		}
-	}()
-	full := attrset.Universe(db.Arity())
-	tasks := (len(couples) + identifierStride - 1) / identifierStride
-	err := pool.Run(ctx, workers, tasks, func(taskCtx context.Context, w, t int) error {
-		if err := faultinject.Fire(faultinject.AgreeStride); err != nil {
-			return err
-		}
-		if err := opts.Budget.Checkpoint("agree"); err != nil {
-			return err
-		}
-		start := t * identifierStride
-		end := min(start+identifierStride, len(couples))
-		ws := locals[w]
-		batch, err := intersectStride(taskCtx, ec, ecOff, couples[start:end], full, ws.batch[:0])
-		ws.batch = batch
-		if err != nil {
-			return err
-		}
-		return ws.accum.absorb(batch)
-	})
-	if err != nil {
-		return governedPartial(res, locals, sp, err, "identifier scan")
-	}
-	sets, err := mergeAccums(locals, sp)
-	if err != nil {
-		return nil, fmt.Errorf("agree: merging identifier-scan runs: %w", err)
-	}
-	res.Sets = addEmptyIfUncovered(db, len(couples), sets)
-	if err := opts.Budget.Charge("agree", len(res.Sets)); err != nil {
-		return res, err
-	}
-	return res, nil
-}
-
 // buildECIndex lays out, per tuple t, the list ec(t) of (attribute, class
 // id) pairs for which t lies in some class of π̂_A, encoded a<<32|id in
 // one flat arena sliced per tuple by ecOff. Intersecting two tuples'
@@ -678,10 +677,4 @@ func intersectStride(taskCtx context.Context, ec []uint64, ecOff []int32, couple
 		}
 	}
 	return batch, nil
-}
-
-// FromRelation is a convenience: builds the stripped partition database and
-// runs the identifier algorithm (the more scalable default).
-func FromRelation(ctx context.Context, r *relation.Relation) (*Result, error) {
-	return Identifiers(ctx, partition.NewDatabase(r), Options{})
 }

@@ -33,7 +33,6 @@ func TestPaperExampleAllAlgorithms(t *testing.T) {
 		"naive":   func() (*Result, error) { return Naive(context.Background(), r) },
 		"couples": func() (*Result, error) { return Couples(context.Background(), db, Options{}) },
 		"ids":     func() (*Result, error) { return Identifiers(context.Background(), db, Options{}) },
-		"default": func() (*Result, error) { return FromRelation(context.Background(), r) },
 	}
 	for name, fn := range algos {
 		res, err := fn()
@@ -280,7 +279,7 @@ func TestAgreeSetsNeverContainFullSchemaWithoutDuplicates(t *testing.T) {
 			t.Fatal(err)
 		}
 		r = r.Deduplicate()
-		res, err := FromRelation(context.Background(), r)
+		res, err := Identifiers(context.Background(), partition.NewDatabase(r), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

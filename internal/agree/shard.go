@@ -1,15 +1,17 @@
-// Shard computation: the agree-set sweep over an explicit couple range,
+// Shard computation: the engine's sweep over an explicit couple range,
 // the unit a distributed discovery dispatches to workers.
 //
-// A Plan pins the shardable state both sides must agree on: the couple
+// A shard is a [Start,End) index range into the Plan's couple list. The
 // list is generated once (sorted, deduplicated — generateCouples), so a
-// [Start,End) index range names the same couples on every node that
-// computes it from the same relation bytes; content fingerprints make
-// "same bytes" verifiable. ComputeShard sweeps only its range and emits
-// the deduplicated agree sets in raw word order (extsort.Compare) — the
-// run order — without the canonical sort or the empty-set completion,
-// which belong to whoever unions the shards. Finish applies exactly that
-// tail once over the merged family.
+// range names the same couples on every node that builds the Plan from
+// the same relation bytes; content fingerprints make "same bytes"
+// verifiable. ComputeShard runs the same sweep as the single-node
+// Compute, over its range only, and emits the deduplicated agree sets in
+// raw word order (extsort.Compare) — the run order — without the
+// canonical sort or the empty-set completion, which belong to whoever
+// unions the shards. Finish applies exactly that tail once over the
+// merged family. The single-node computation is the one-shard case:
+// Compute is the sweep of [0, Couples()) followed by Finish.
 //
 // Byte-identity argument (the distributed analogue of the spill
 // contract): the shards are contiguous ranges of one globally sorted
@@ -25,24 +27,9 @@ package agree
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/attrset"
 	"repro/internal/extsort"
-	"repro/internal/faultinject"
-	"repro/internal/partition"
-	"repro/internal/pool"
-)
-
-// Variant selects which sweep a shard runs: Algorithm 2 (couples) or
-// Algorithm 3 (identifiers). Every shard of one discovery must use the
-// same variant — the coordinator decides degradation globally, from the
-// total couple count, so the choice cannot diverge per shard.
-type Variant int
-
-const (
-	VariantCouples Variant = iota
-	VariantIdentifiers
 )
 
 // Shard is a half-open couple index range [Start, End) into the plan's
@@ -50,35 +37,6 @@ const (
 type Shard struct {
 	Start, End int
 }
-
-// Plan is the shared frame of one sharded agree-set computation: the
-// stripped-partition database and its globally sorted deduplicated couple
-// list. Coordinator and workers each build a Plan from the same relation
-// bytes; equality of the couple count is the cheap structural check that
-// they did. The identifier arena is built lazily, once, and shared by
-// concurrent ComputeShard calls.
-type Plan struct {
-	db      *partition.Database
-	couples []uint64
-
-	ecOnce sync.Once
-	ecOff  []int32
-	ec     []uint64
-}
-
-// NewPlan builds the couple list for db.
-func NewPlan(db *partition.Database) *Plan {
-	return &Plan{db: db, couples: generateCouples(db.MaximalClasses())}
-}
-
-// Couples returns the total couple count — the space Split partitions.
-func (p *Plan) Couples() int { return len(p.couples) }
-
-// Arity returns the schema size of the underlying database.
-func (p *Plan) Arity() int { return p.db.Arity() }
-
-// Rows returns the tuple count of the underlying database.
-func (p *Plan) Rows() int { return p.db.NumRows }
 
 // Split partitions the couple space into n contiguous near-equal shards
 // (never more shards than couples; an empty couple space yields one
@@ -99,13 +57,6 @@ func (p *Plan) Split(n int) []Shard {
 		shards = append(shards, Shard{Start: i * total / n, End: (i + 1) * total / n})
 	}
 	return shards
-}
-
-func (p *Plan) ecIndex() ([]int32, []uint64) {
-	p.ecOnce.Do(func() {
-		p.ecOff, p.ec = buildECIndex(p.db)
-	})
-	return p.ecOff, p.ec
 }
 
 // ShardResult reports one shard computation.
@@ -136,55 +87,13 @@ func (p *Plan) ComputeShard(ctx context.Context, sh Shard, v Variant, opts Optio
 	if sh.Start < 0 || sh.End < sh.Start || sh.End > len(p.couples) {
 		return nil, fmt.Errorf("agree: shard [%d,%d) outside couple range [0,%d]", sh.Start, sh.End, len(p.couples))
 	}
-	sub := p.couples[sh.Start:sh.End]
-	workers := pool.Resolve(opts.Workers)
-	locals, sp := makeWorkers(workers, opts)
 	res := &ShardResult{}
-	defer func() {
-		if sp != nil {
+	locals, sp, err := p.sweep(ctx, p.couples[sh.Start:sh.End], v, opts)
+	if sp != nil {
+		defer func() {
 			res.Spill = sp.Stats()
 			sp.Close()
-		}
-	}()
-	full := attrset.Universe(p.db.Arity())
-
-	var err error
-	switch v {
-	case VariantIdentifiers:
-		ecOff, ec := p.ecIndex()
-		tasks := (len(sub) + identifierStride - 1) / identifierStride
-		err = pool.Run(ctx, workers, tasks, func(taskCtx context.Context, w, t int) error {
-			if err := faultinject.Fire(faultinject.AgreeStride); err != nil {
-				return err
-			}
-			if err := opts.Budget.Checkpoint("agree"); err != nil {
-				return err
-			}
-			start := t * identifierStride
-			end := min(start+identifierStride, len(sub))
-			ws := locals[w]
-			batch, err := intersectStride(taskCtx, ec, ecOff, sub[start:end], full, ws.batch[:0])
-			ws.batch = batch
-			if err != nil {
-				return err
-			}
-			return ws.accum.absorb(batch)
-		})
-	default:
-		chunk := opts.chunkSize()
-		tasks := (len(sub) + chunk - 1) / chunk
-		err = pool.Run(ctx, workers, tasks, func(_ context.Context, w, t int) error {
-			if err := faultinject.Fire(faultinject.AgreeChunk); err != nil {
-				return err
-			}
-			if err := opts.Budget.Checkpoint("agree"); err != nil {
-				return err
-			}
-			start := t * chunk
-			end := min(start+chunk, len(sub))
-			ws := locals[w]
-			return ws.accum.absorb(processChunk(p.db, sub[start:end], full, ws))
-		})
+		}()
 	}
 	if err != nil {
 		return res, fmt.Errorf("agree: shard [%d,%d) sweep: %w", sh.Start, sh.End, err)
@@ -194,12 +103,7 @@ func (p *Plan) ComputeShard(ctx context.Context, sh Shard, v Variant, opts Optio
 		res.Sets++
 		return emit(s)
 	}
-	runs := make([][]attrset.Set, 0, len(locals))
-	for _, w := range locals {
-		if len(w.accum.sorted) > 0 {
-			runs = append(runs, w.accum.sorted)
-		}
-	}
+	runs, _ := workerRuns(locals)
 	if sp != nil && sp.Runs() > 0 {
 		if err := sp.Merge(runs, counted); err != nil {
 			return res, fmt.Errorf("agree: shard [%d,%d) merge: %w", sh.Start, sh.End, err)
@@ -216,7 +120,7 @@ func (p *Plan) ComputeShard(ctx context.Context, sh Shard, v Variant, opts Optio
 
 // Finish turns the raw-order union of the shards' emitted runs into the
 // final ag(r): the one canonical sort plus the empty-set completion —
-// exactly the tail of the single-node computation, applied once by
+// the tail Compute applies to its own one-shard sweep, applied once by
 // whoever merged the shards.
 func (p *Plan) Finish(sets attrset.Family) attrset.Family {
 	if sets == nil {

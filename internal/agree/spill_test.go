@@ -28,6 +28,10 @@ func TestSpillDifferential(t *testing.T) {
 	for iter := 0; iter < 10; iter++ {
 		r := randomRelation(t, rng, 2+rng.Intn(5), 20+rng.Intn(80), 1+rng.Intn(4))
 		db := partition.NewDatabase(r)
+		ref, err := Naive(context.Background(), r)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, algo := range []struct {
 			name string
 			run  func(Options) (*Result, error)
@@ -35,10 +39,6 @@ func TestSpillDifferential(t *testing.T) {
 			{"couples", func(o Options) (*Result, error) { return Couples(context.Background(), db, o) }},
 			{"identifiers", func(o Options) (*Result, error) { return Identifiers(context.Background(), db, o) }},
 		} {
-			ref, err := algo.run(Options{Workers: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
 			for _, workers := range []int{1, 2, 8} {
 				for _, maxBytes := range []int64{0, 1, 4 * extsort.SetBytes, 1 << 40} {
 					opts := Options{Workers: workers, MaxAgreeBytes: maxBytes, SpillDir: t.TempDir()}
@@ -47,7 +47,7 @@ func TestSpillDifferential(t *testing.T) {
 						t.Fatalf("%s workers=%d max=%d: %v", algo.name, workers, maxBytes, err)
 					}
 					if !slices.Equal(got.Sets, ref.Sets) {
-						t.Fatalf("%s workers=%d max=%d: family differs from in-memory reference",
+						t.Fatalf("%s workers=%d max=%d: family differs from the naive reference",
 							algo.name, workers, maxBytes)
 					}
 					// ∅ can enter the family via the uncovered-couples
@@ -113,35 +113,41 @@ func TestSpillFaultInjection(t *testing.T) {
 // TestSpillGovernedPartial exhausts the budget via the extsort phase's
 // own byte charges: the run must degrade into a governed partial whose
 // family is a valid (possibly empty) subset of the full one — clean
-// truncation through the guard contract, not silent truncation.
+// truncation through the guard contract, not silent truncation — for
+// both algorithms.
 func TestSpillGovernedPartial(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	r := randomRelation(t, rng, 5, 120, 2)
 	db := partition.NewDatabase(r)
-	ref, err := Identifiers(context.Background(), db, Options{Workers: 1})
+	ref, err := Naive(context.Background(), r)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Enough budget for the couple charge, not for the spill volume.
-	full, err := Identifiers(context.Background(), db, Options{Workers: 1, MaxAgreeBytes: 1, SpillDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	limit := full.Couples + int(full.Spill.SpilledBytes)/2 + 1
-	b := guard.New(guard.Limits{Units: int64(limit)})
-	res, err := Identifiers(context.Background(), db, Options{
-		Workers: 1, MaxAgreeBytes: 1, SpillDir: t.TempDir(), Budget: b,
-	})
-	if !guard.Governed(err) {
-		t.Fatalf("err = %v, want governed budget overrun", err)
-	}
-	if res == nil {
-		t.Fatalf("governed overrun returned no partial result")
-	}
-	for _, s := range res.Sets {
-		if !slices.ContainsFunc(ref.Sets, func(x attrset.Set) bool { return x == s }) {
-			t.Fatalf("partial family contains set %v absent from the full family", s)
+	for _, algo := range []struct {
+		name string
+		run  func(Options) (*Result, error)
+	}{
+		{"couples", func(o Options) (*Result, error) { return Couples(context.Background(), db, o) }},
+		{"identifiers", func(o Options) (*Result, error) { return Identifiers(context.Background(), db, o) }},
+	} {
+		// Enough budget for the couple charge, not for the spill volume.
+		full, err := algo.run(Options{Workers: 1, MaxAgreeBytes: 1, SpillDir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		limit := full.Couples + int(full.Spill.SpilledBytes)/2 + 1
+		b := guard.New(guard.Limits{Units: int64(limit)})
+		res, err := algo.run(Options{Workers: 1, MaxAgreeBytes: 1, SpillDir: t.TempDir(), Budget: b})
+		if !guard.Governed(err) {
+			t.Fatalf("%s: err = %v, want governed budget overrun", algo.name, err)
+		}
+		if res == nil {
+			t.Fatalf("%s: governed overrun returned no partial result", algo.name)
+		}
+		for _, s := range res.Sets {
+			if !slices.Contains(ref.Sets, s) {
+				t.Fatalf("%s: partial family contains set %v absent from the full family", algo.name, s)
+			}
 		}
 	}
 }

@@ -74,16 +74,16 @@ func (f Family) Maximal() Family {
 	in := f.Dedup()
 	slices.SortFunc(in, func(a, b Set) int { return b.Compare(a) })
 	out := make(Family, 0, len(in))
-	for _, s := range in {
+	for i := range in {
 		dominated := false
-		for _, m := range out {
-			if s.ProperSubsetOf(m) {
+		for j := range out {
+			if properSubset(&in[i], &out[j]) {
 				dominated = true
 				break
 			}
 		}
 		if !dominated {
-			out = append(out, s)
+			out = append(out, in[i])
 		}
 	}
 	out.Sort()
@@ -96,20 +96,33 @@ func (f Family) Minimal() Family {
 	in := f.Dedup()
 	slices.SortFunc(in, Set.Compare)
 	out := make(Family, 0, len(in))
-	for _, s := range in {
+	for i := range in {
 		dominates := false
-		for _, m := range out {
-			if m.ProperSubsetOf(s) {
+		for j := range out {
+			if properSubset(&out[j], &in[i]) {
 				dominates = true
 				break
 			}
 		}
 		if !dominates {
-			out = append(out, s)
+			out = append(out, in[i])
 		}
 	}
 	out.Sort()
 	return out
+}
+
+// properSubset reports *s ⊂ *t. The quadratic loops of Maximal and
+// Minimal compare through pointers: with value operands the compiler
+// stages both 32-byte sets through stack slots on every iteration, and
+// that traffic's cost swings up to 8× with the caller's stack alignment.
+func properSubset(s, t *Set) bool {
+	for i := range s {
+		if s[i]&^t[i] != 0 {
+			return false
+		}
+	}
+	return *s != *t
 }
 
 // IsSimple reports whether f is a simple hypergraph over its union: no

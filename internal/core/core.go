@@ -18,7 +18,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"time"
@@ -161,20 +160,6 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// Timings records wall-clock duration per pipeline step.
-type Timings struct {
-	Partition time.Duration // stripped partition database extraction
-	AgreeSets time.Duration // step 1
-	MaxSets   time.Duration // step 2
-	LHS       time.Duration // steps 3–4
-	Armstrong time.Duration // step 5
-}
-
-// Total returns the sum over all steps.
-func (t Timings) Total() time.Duration {
-	return t.Partition + t.AgreeSets + t.MaxSets + t.LHS + t.Armstrong
-}
-
 // PhaseStat records one pipeline phase's cost: wall-clock duration plus
 // the heap-allocation delta (objects and bytes) observed across the
 // phase. The counters are process-wide (runtime.MemStats cumulative
@@ -189,7 +174,7 @@ type PhaseStat struct {
 
 // Stats holds per-phase cost counters, letting the benchmark harness
 // attribute time and allocations to pipeline steps without an external
-// profiler. Durations duplicate Timings (kept for compatibility).
+// profiler.
 type Stats struct {
 	Partition PhaseStat // stripped partition database extraction
 	AgreeSets PhaseStat // step 1
@@ -253,8 +238,6 @@ type Result struct {
 	// Couples is the number of tuple couples examined by step 1; Chunks
 	// the number of chunk passes.
 	Couples, Chunks int
-	// Timings records per-step durations.
-	Timings Timings
 	// Stats records per-step durations together with heap-allocation
 	// deltas, for cost attribution without an external profiler.
 	Stats Stats
@@ -266,7 +249,7 @@ type Result struct {
 	Partial bool
 	// Notes records run-time adaptations, e.g. the Algorithm 2 → 3
 	// graceful degradation when the couple space crosses
-	// Options.MaxCouples.
+	// Options.MaxCouples (see AgreeVariant).
 	Notes []string
 }
 
@@ -294,95 +277,17 @@ func contain(phase string, res *Result, errp *error) {
 }
 
 // Discover runs the full Dep-Miner pipeline on a relation.
-func Discover(ctx context.Context, r *relation.Relation, opts Options) (res *Result, err error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	res = &Result{}
-	defer contain("core.Discover", res, &err)
-
-	// Step 1: AGREE_SET.
-	pp := startPhase()
-	var agr *agree.Result
-	if opts.Algorithm == AgreeNaive {
-		if ferr := faultinject.Fire(faultinject.CoreAgree); ferr != nil {
-			return fail(res, ferr)
-		}
-		agr, err = agree.Naive(ctx, r)
-		if err != nil {
-			return fail(res, err)
-		}
-		res.Stats.AgreeSets = pp.stop()
-		res.Timings.AgreeSets = res.Stats.AgreeSets.Duration
-	} else {
-		if ferr := faultinject.Fire(faultinject.CorePartition); ferr != nil {
-			return fail(res, ferr)
-		}
-		db := partition.NewDatabase(r)
-		res.Stats.Partition = pp.stop()
-		res.Timings.Partition = res.Stats.Partition.Duration
-		if cerr := opts.Budget.Checkpoint("partition"); cerr != nil {
-			return fail(res, cerr)
-		}
-		pp = startPhase()
-		agr, err = agreeSets(ctx, db, opts, res)
-		if err != nil {
-			adoptAgree(res, agr)
-			return fail(res, err)
-		}
-		res.Stats.AgreeSets = pp.stop()
-		res.Timings.AgreeSets = res.Stats.AgreeSets.Duration
-	}
-
-	// Steps 2–4.
-	if err := deriveFDs(ctx, agr, r.Arity(), opts, res); err != nil {
-		return fail(res, err)
-	}
-
-	// Step 5: ARMSTRONG_RELATION.
-	if opts.Armstrong != ArmstrongNone {
-		if ferr := faultinject.Fire(faultinject.CoreArmstrong); ferr != nil {
-			return fail(res, ferr)
-		}
-		if cerr := opts.Budget.Checkpoint("armstrong"); cerr != nil {
-			return fail(res, cerr)
-		}
-		pp = startPhase()
-		arm, synthetic, aerr := buildArmstrong(r, res.MaxSets, opts.Armstrong)
-		if aerr != nil {
-			return fail(res, aerr)
-		}
-		res.Armstrong = arm
-		res.ArmstrongSynthetic = synthetic
-		res.Stats.Armstrong = pp.stop()
-		res.Timings.Armstrong = res.Stats.Armstrong.Duration
-	}
-	return res, nil
+func Discover(ctx context.Context, r *relation.Relation, opts Options) (*Result, error) {
+	return discover(ctx, "core.Discover", source{rel: r}, opts)
 }
 
 // DiscoverFromDatabase runs steps 1–4 on a pre-built stripped partition
 // database (no Armstrong relation, which needs the original values).
-func DiscoverFromDatabase(ctx context.Context, db *partition.Database, opts Options) (res *Result, err error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
+func DiscoverFromDatabase(ctx context.Context, db *partition.Database, opts Options) (*Result, error) {
 	if opts.Algorithm == AgreeNaive {
 		return nil, fmt.Errorf("%w: the naive agree-set scan needs the relation; use Discover", ErrInvalidOptions)
 	}
-	res = &Result{}
-	defer contain("core.DiscoverFromDatabase", res, &err)
-	pp := startPhase()
-	agr, aerr := agreeSets(ctx, db, opts, res)
-	if aerr != nil {
-		adoptAgree(res, agr)
-		return fail(res, aerr)
-	}
-	res.Stats.AgreeSets = pp.stop()
-	res.Timings.AgreeSets = res.Stats.AgreeSets.Duration
-	if derr := deriveFDs(ctx, agr, db.Arity(), opts, res); derr != nil {
-		return fail(res, derr)
-	}
-	return res, nil
+	return discover(ctx, "core.DiscoverFromDatabase", source{db: db}, opts)
 }
 
 // DiscoverFromAgreeSets runs steps 2–5 of the pipeline on an externally
@@ -392,47 +297,12 @@ func DiscoverFromDatabase(ctx context.Context, db *partition.Database, opts Opti
 // nil when opts.Armstrong is ArmstrongNone. The agree-set counters in
 // res (Couples, Chunks, Spill) are left to the caller, who knows how the
 // family was actually produced.
-func DiscoverFromAgreeSets(ctx context.Context, r *relation.Relation, sets attrset.Family, arity int, opts Options) (res *Result, err error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
+func DiscoverFromAgreeSets(ctx context.Context, r *relation.Relation, sets attrset.Family, arity int, opts Options) (*Result, error) {
 	if opts.Armstrong != ArmstrongNone && r == nil {
 		return nil, fmt.Errorf("%w: the Armstrong relation needs the original values", ErrInvalidOptions)
 	}
-	res = &Result{}
-	defer contain("core.DiscoverFromAgreeSets", res, &err)
-	if derr := deriveFDs(ctx, &agree.Result{Sets: sets, Chunks: 1}, arity, opts, res); derr != nil {
-		return fail(res, derr)
-	}
-	if opts.Armstrong != ArmstrongNone {
-		if ferr := faultinject.Fire(faultinject.CoreArmstrong); ferr != nil {
-			return fail(res, ferr)
-		}
-		if cerr := opts.Budget.Checkpoint("armstrong"); cerr != nil {
-			return fail(res, cerr)
-		}
-		pp := startPhase()
-		arm, synthetic, aerr := buildArmstrong(r, res.MaxSets, opts.Armstrong)
-		if aerr != nil {
-			return fail(res, aerr)
-		}
-		res.Armstrong = arm
-		res.ArmstrongSynthetic = synthetic
-		res.Stats.Armstrong = pp.stop()
-		res.Timings.Armstrong = res.Stats.Armstrong.Duration
-	}
-	return res, nil
-}
-
-// DegradeNote is the Notes line recorded when the couple space crosses
-// the MaxCouples threshold and the run degrades from Algorithm 2 to
-// Algorithm 3. Shared with the shard coordinator, which makes the same
-// decision globally, so sharded and single-node responses stay
-// byte-identical.
-func DegradeNote(couples, max int) string {
-	return fmt.Sprintf(
-		"agree: degraded from Dep-Miner (Algorithm 2) to Dep-Miner 2 (Algorithm 3): %d couples exceed the %d-couple threshold",
-		couples, max)
+	return discover(ctx, "core.DiscoverFromAgreeSets",
+		source{rel: r, agree: &agree.Result{Sets: sets, Chunks: 1}, arity: arity}, opts)
 }
 
 // DeriveFromAgreeSets runs steps 2–4 of the pipeline on externally
@@ -440,18 +310,97 @@ func DegradeNote(couples, max int) string {
 // ag(r) under inserts and re-derives the cover on demand. It runs the
 // sequential reference path: the cost is independent of |r| and too
 // small to benefit from fan-out.
-func DeriveFromAgreeSets(ctx context.Context, sets attrset.Family, arity int) (res *Result, err error) {
-	res = &Result{}
-	defer contain("core.DeriveFromAgreeSets", res, &err)
-	if derr := deriveFDs(ctx, &agree.Result{Sets: sets, Chunks: 1}, arity, Options{Workers: 1}, res); derr != nil {
-		return fail(res, derr)
+func DeriveFromAgreeSets(ctx context.Context, sets attrset.Family, arity int) (*Result, error) {
+	return discover(ctx, "core.DeriveFromAgreeSets",
+		source{agree: &agree.Result{Sets: sets, Chunks: 1}, arity: arity},
+		Options{Workers: 1, Armstrong: ArmstrongNone})
+}
+
+// source is what a discovery starts from. Step 1 runs on db, built from
+// rel when nil, unless agree already holds ag(r) over arity attributes;
+// step 5 runs only when rel supplies the original values.
+type source struct {
+	rel   *relation.Relation
+	db    *partition.Database
+	agree *agree.Result
+	arity int
+}
+
+// discover is the one body of the pipeline behind every entry point:
+// step 1 (unless the source carries the agree sets), steps 2–4, and
+// step 5 when the source has a relation and opts asks for one.
+func discover(ctx context.Context, name string, in source, opts Options) (res *Result, err error) {
+	if err := opts.Validate(); err != nil {
+		return nil, err
 	}
+	res = &Result{}
+	defer contain(name, res, &err)
+
+	// Step 1: AGREE_SET.
+	agr := in.agree
+	if agr == nil {
+		if in.db != nil {
+			in.arity = in.db.Arity()
+		} else {
+			in.arity = in.rel.Arity()
+		}
+		agr, err = agreeSets(ctx, in, opts, res)
+	}
+	adoptAgree(res, agr)
+	if err != nil {
+		return fail(res, err)
+	}
+
+	// Steps 2–4.
+	if err := deriveFDs(ctx, in.arity, opts, res); err != nil {
+		return fail(res, err)
+	}
+
+	// Step 5: ARMSTRONG_RELATION.
+	if opts.Armstrong == ArmstrongNone || in.rel == nil {
+		return res, nil
+	}
+	if ferr := faultinject.Fire(faultinject.CoreArmstrong); ferr != nil {
+		return fail(res, ferr)
+	}
+	if cerr := opts.Budget.Checkpoint("armstrong"); cerr != nil {
+		return fail(res, cerr)
+	}
+	pp := startPhase()
+	arm, synthetic, aerr := buildArmstrong(in.rel, res.MaxSets, opts.Armstrong)
+	if aerr != nil {
+		return fail(res, aerr)
+	}
+	res.Armstrong = arm
+	res.ArmstrongSynthetic = synthetic
+	res.Stats.Armstrong = pp.stop()
 	return res, nil
 }
 
-// adoptAgree copies whatever step 1 accumulated before failing into res,
-// so a governed overrun mid-sweep still reports the couples examined and
-// the (partial) agree sets collected.
+// AgreeVariant is the one Algorithm 2 → 3 degradation decision, made
+// from the couple count of the discovery's agree.Plan before any sweep
+// work: AgreeIdentifiers always runs Algorithm 3; AgreeCouples runs
+// Algorithm 2 unless the couple space exceeds opts.MaxCouples, in which
+// case it degrades to Algorithm 3 — the paper's own remedy for the
+// correlated-relation blow-up of §5.2 — and note is the line to record
+// in Result.Notes. Single-node runs and the shard coordinator both call
+// it, so sharded and single-node responses degrade, and say so, byte for
+// byte alike.
+func AgreeVariant(opts Options, couples int) (v agree.Variant, note string) {
+	if opts.Algorithm == AgreeIdentifiers {
+		return agree.VariantIdentifiers, ""
+	}
+	if opts.MaxCouples > 0 && couples > opts.MaxCouples {
+		return agree.VariantIdentifiers, fmt.Sprintf(
+			"agree: degraded from Dep-Miner (Algorithm 2) to Dep-Miner 2 (Algorithm 3): %d couples exceed the %d-couple threshold",
+			couples, opts.MaxCouples)
+	}
+	return agree.VariantCouples, ""
+}
+
+// adoptAgree copies step 1's outcome into res — on failure whatever it
+// accumulated, so a governed overrun mid-sweep still reports the couples
+// examined and the (partial) agree sets collected.
 func adoptAgree(res *Result, agr *agree.Result) {
 	if agr == nil {
 		return
@@ -462,39 +411,53 @@ func adoptAgree(res *Result, agr *agree.Result) {
 	res.Stats.Spill = agr.Spill
 }
 
-// agreeSets runs step 1 on the stripped partition database, degrading
-// from Algorithm 2 to Algorithm 3 when the couple space crosses
-// Options.MaxCouples — the paper's own remedy for correlated relations,
-// recorded in res.Notes.
-func agreeSets(ctx context.Context, db *partition.Database, opts Options, res *Result) (*agree.Result, error) {
+// agreeSets runs step 1: the naive scan on the relation, or one
+// agree.Plan over the stripped partition database (built here, as the
+// timed partition phase, unless the source supplies it) swept with the
+// variant AgreeVariant picks.
+func agreeSets(ctx context.Context, in source, opts Options, res *Result) (*agree.Result, error) {
+	pp := startPhase()
+	db := in.db
+	if opts.Algorithm != AgreeNaive && db == nil {
+		if ferr := faultinject.Fire(faultinject.CorePartition); ferr != nil {
+			return nil, ferr
+		}
+		db = partition.NewDatabase(in.rel)
+		res.Stats.Partition = pp.stop()
+		if cerr := opts.Budget.Checkpoint("partition"); cerr != nil {
+			return nil, cerr
+		}
+		pp = startPhase()
+	}
 	if ferr := faultinject.Fire(faultinject.CoreAgree); ferr != nil {
 		return nil, ferr
 	}
-	aopts := agree.Options{
-		ChunkSize:     opts.ChunkSize,
-		Workers:       opts.Workers,
-		Budget:        opts.Budget,
-		MaxAgreeBytes: opts.MaxAgreeBytes,
-		SpillDir:      opts.SpillDir,
+	var agr *agree.Result
+	var err error
+	if opts.Algorithm == AgreeNaive {
+		agr, err = agree.Naive(ctx, in.rel)
+	} else {
+		plan := agree.NewPlan(db)
+		v, note := AgreeVariant(opts, plan.Couples())
+		if note != "" {
+			res.Notes = append(res.Notes, note)
+		}
+		agr, err = plan.Compute(ctx, v, agree.Options{
+			ChunkSize:     opts.ChunkSize,
+			Workers:       opts.Workers,
+			Budget:        opts.Budget,
+			MaxAgreeBytes: opts.MaxAgreeBytes,
+			SpillDir:      opts.SpillDir,
+		})
 	}
-	if opts.Algorithm == AgreeIdentifiers {
-		return agree.Identifiers(ctx, db, aopts)
-	}
-	aopts.MaxCouples = opts.MaxCouples
-	agr, err := agree.Couples(ctx, db, aopts)
-	var overflow *agree.CoupleOverflowError
-	if errors.As(err, &overflow) {
-		res.Notes = append(res.Notes, DegradeNote(overflow.Couples, overflow.Max))
-		aopts.MaxCouples = 0
-		return agree.Identifiers(ctx, db, aopts)
+	if err == nil {
+		res.Stats.AgreeSets = pp.stop()
 	}
 	return agr, err
 }
 
-// deriveFDs runs steps 2–4 from the agree sets into res.
-func deriveFDs(ctx context.Context, agr *agree.Result, arity int, opts Options, res *Result) error {
-	adoptAgree(res, agr)
-
+// deriveFDs runs steps 2–4 from res.AgreeSets into res.
+func deriveFDs(ctx context.Context, arity int, opts Options, res *Result) error {
 	// Step 2: CMAX_SET.
 	if ferr := faultinject.Fire(faultinject.CoreMaxSets); ferr != nil {
 		return ferr
@@ -506,7 +469,6 @@ func deriveFDs(ctx context.Context, agr *agree.Result, arity int, opts Options, 
 	ms := maxsets.Compute(res.AgreeSets, arity)
 	res.MaxSets = ms.AllMax()
 	res.Stats.MaxSets = pp.stop()
-	res.Timings.MaxSets = res.Stats.MaxSets.Duration
 
 	// Steps 3–4: LEFT_HAND_SIDE then FD_OUTPUT. The per-attribute searches
 	// Tr(cmax(dep(r),A)) are independent, so they fan out one task per RHS
@@ -539,7 +501,6 @@ func deriveFDs(ctx context.Context, agr *agree.Result, arity int, opts Options, 
 	}
 	res.FDs.Sort()
 	res.Stats.LHS = pp.stop()
-	res.Timings.LHS = res.Stats.LHS.Duration
 	return nil
 }
 

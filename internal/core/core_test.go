@@ -123,7 +123,7 @@ func TestArmstrongModes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Armstrong != nil || res.Timings.Armstrong != 0 {
+	if res.Armstrong != nil || res.Stats.Armstrong.Duration != 0 {
 		t.Error("ArmstrongNone must skip step 5")
 	}
 	// Synthetic.
@@ -225,7 +225,8 @@ func TestTimingsPopulated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Timings.Total() <= 0 {
+	st := res.Stats
+	if st.Partition.Duration+st.AgreeSets.Duration+st.MaxSets.Duration+st.LHS.Duration+st.Armstrong.Duration <= 0 {
 		t.Error("timings not recorded")
 	}
 }
@@ -290,7 +291,7 @@ func TestPropertyDiscoverMatchesBruteForce(t *testing.T) {
 }
 
 // TestResultStats checks that every pipeline phase reports its cost in
-// Result.Stats and that the durations mirror Result.Timings.
+// Result.Stats.
 func TestResultStats(t *testing.T) {
 	r := relation.PaperExample()
 	res, err := Discover(context.Background(), r, Options{Workers: 1})
@@ -312,11 +313,5 @@ func TestResultStats(t *testing.T) {
 		if ps.Allocs == 0 || ps.Bytes == 0 {
 			t.Errorf("Stats.%s allocs/bytes = %d/%d, want > 0", name, ps.Allocs, ps.Bytes)
 		}
-	}
-	tm := res.Timings
-	if tm.Partition != s.Partition.Duration || tm.AgreeSets != s.AgreeSets.Duration ||
-		tm.MaxSets != s.MaxSets.Duration || tm.LHS != s.LHS.Duration ||
-		tm.Armstrong != s.Armstrong.Duration {
-		t.Errorf("Timings %+v do not mirror Stats durations", tm)
 	}
 }

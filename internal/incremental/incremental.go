@@ -25,8 +25,8 @@ import (
 
 	"repro/internal/attrset"
 	"repro/internal/core"
-	"repro/internal/fd"
 	"repro/internal/faultinject"
+	"repro/internal/fd"
 	"repro/internal/guard"
 	"repro/internal/relation"
 )

@@ -14,6 +14,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/fd"
 	"repro/internal/guard"
+	"repro/internal/partition"
 	"repro/internal/relation"
 )
 
@@ -74,7 +75,7 @@ func TestAgreeSetsMatchBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := agree.FromRelation(context.Background(), r)
+	batch, err := agree.Identifiers(context.Background(), partition.NewDatabase(r), agree.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/agree"
 	"repro/internal/attrset"
 	"repro/internal/fd"
+	"repro/internal/partition"
 	"repro/internal/relation"
 )
 
@@ -20,7 +21,7 @@ func TestFromCoverPaperExample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ag, err := agree.FromRelation(context.Background(), r)
+	ag, err := agree.Identifiers(context.Background(), partition.NewDatabase(r), agree.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestFromCoverMatchesAgreePathOnRandomRelations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ag, err := agree.FromRelation(context.Background(), r)
+		ag, err := agree.Identifiers(context.Background(), partition.NewDatabase(r), agree.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

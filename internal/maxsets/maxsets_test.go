@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/agree"
 	"repro/internal/attrset"
+	"repro/internal/partition"
 	"repro/internal/relation"
 )
 
@@ -25,7 +26,7 @@ func sets(specs ...string) attrset.Family {
 // Paper Example 9: max and cmax for the running example.
 func TestPaperExample(t *testing.T) {
 	r := relation.PaperExample()
-	ag, err := agree.FromRelation(context.Background(), r)
+	ag, err := agree.Identifiers(context.Background(), partition.NewDatabase(r), agree.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func TestLemma3Property(t *testing.T) {
 			t.Fatal(err)
 		}
 		r = r.Deduplicate() // dep(r) is defined on set semantics
-		ag, err := agree.FromRelation(context.Background(), r)
+		ag, err := agree.Identifiers(context.Background(), partition.NewDatabase(r), agree.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +121,7 @@ func TestLemma3Property(t *testing.T) {
 
 func TestCMaxIsComplement(t *testing.T) {
 	r := relation.PaperExample()
-	ag, _ := agree.FromRelation(context.Background(), r)
+	ag, _ := agree.Identifiers(context.Background(), partition.NewDatabase(r), agree.Options{})
 	res := Compute(ag.Sets, r.Arity())
 	for a := 0; a < res.Arity; a++ {
 		if len(res.Max[a]) != len(res.CMax[a]) {
@@ -148,7 +149,7 @@ func TestConstantColumn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ag, err := agree.FromRelation(context.Background(), r)
+	ag, err := agree.Identifiers(context.Background(), partition.NewDatabase(r), agree.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +171,7 @@ func TestEmptyAgreeSetHandling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ag, err := agree.FromRelation(context.Background(), r)
+	ag, err := agree.Identifiers(context.Background(), partition.NewDatabase(r), agree.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +220,7 @@ func TestAllMaxDedupAcrossAttributes(t *testing.T) {
 	// A appears in max sets of B, C and D in the paper example; AllMax
 	// must contain it once.
 	r := relation.PaperExample()
-	ag, _ := agree.FromRelation(context.Background(), r)
+	ag, _ := agree.Identifiers(context.Background(), partition.NewDatabase(r), agree.Options{})
 	res := Compute(ag.Sets, r.Arity())
 	all := res.AllMax()
 	count := 0

@@ -374,14 +374,6 @@ func (s *Server) logPhases(ctx context.Context, st core.Stats) {
 		obs.Duration("armstrong", st.Armstrong.Duration))
 }
 
-func (d *discoveryStats) addSpill(st extsort.Stats) {
-	d.spill.RunsSpilled += st.RunsSpilled
-	d.spill.SpilledSets += st.SpilledSets
-	d.spill.SpilledBytes += st.SpilledBytes
-	d.spill.MergedRuns += st.MergedRuns
-	d.spill.ReadBlocks += st.ReadBlocks
-}
-
 func (d *discoveryStats) addPstore(st pstore.Stats) {
 	d.pstore.Hits += st.Hits
 	d.pstore.Misses += st.Misses
@@ -430,6 +422,7 @@ func (s *Server) resolveParams(req *DiscoverRequest) (discoverParams, error) {
 		maxAgreeBytes:     req.MaxAgreeBytes,
 		armstrong:         req.Armstrong,
 		shards:            req.Shards,
+		units:             req.BudgetUnits,
 	}
 	if p.algorithm == "" {
 		p.algorithm = "depminer"
@@ -459,23 +452,30 @@ func (s *Server) resolveParams(req *DiscoverRequest) (discoverParams, error) {
 			return p, fmt.Errorf("shards is a depminer/depminer2-only option")
 		}
 	}
+	s.clamp(&p, req.TimeoutMS)
+	return p, nil
+}
+
+// clamp applies the server caps, as defaults and ceilings, to p's
+// governance knobs: workers, deadline, unit budget, and resident
+// agree-set bytes. Discoveries and shard requests share it, so a shard
+// runs under exactly the limits a discovery would.
+func (s *Server) clamp(p *discoverParams, timeoutMS int64) {
 	if p.workers == 0 {
 		p.workers = s.cfg.Workers
 	}
 	p.timeout = s.cfg.MaxTimeout
-	if req.TimeoutMS > 0 {
-		if t := time.Duration(req.TimeoutMS) * time.Millisecond; t < p.timeout {
+	if timeoutMS > 0 {
+		if t := time.Duration(timeoutMS) * time.Millisecond; t < p.timeout {
 			p.timeout = t
 		}
 	}
-	p.units = req.BudgetUnits
 	if s.cfg.MaxBudgetUnits > 0 && (p.units == 0 || p.units > s.cfg.MaxBudgetUnits) {
 		p.units = s.cfg.MaxBudgetUnits
 	}
 	if s.cfg.MaxAgreeBytes > 0 && (p.maxAgreeBytes == 0 || p.maxAgreeBytes > s.cfg.MaxAgreeBytes) {
 		p.maxAgreeBytes = s.cfg.MaxAgreeBytes
 	}
-	return p, nil
 }
 
 // optionsKey canonically encodes the result-affecting options for the
@@ -545,10 +545,18 @@ func (s *Server) runDiscovery(ctx context.Context, d *dataset, p discoverParams)
 			s.stats.mu.Unlock()
 		}
 	}
+	return finishResponse(resp, cover, partial, runErr, rel.Names(), start, budget)
+}
+
+// finishResponse is the tail every governed discovery shares: a hard
+// failure returns no response; otherwise the cover (empty when a cutoff
+// came before any) is rendered, and a governed cutoff is reported as a
+// partial response carrying the error.
+func finishResponse(resp *DiscoverResponse, cover fd.Cover, partial bool, runErr error, names []string, start time.Time, budget *guard.Budget) (*DiscoverResponse, error) {
 	if runErr != nil && !partial {
 		return nil, runErr
 	}
-	resp.FDs = renderCover(cover, rel.Names())
+	resp.FDs = renderCover(cover, names)
 	resp.Partial = partial
 	if runErr != nil {
 		resp.Error = runErr.Error()

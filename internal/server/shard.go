@@ -13,7 +13,9 @@
 // budget-charged — and merges alongside any local runs. The canonical
 // tail (one sort, one empty-set completion, steps 2–5) runs once on the
 // coordinator, so the cover is byte-identical to single-node output at
-// every shard count.
+// every shard count. The single-node path sweeps the same agree.Plan as
+// one shard, and both take the Algorithm 2 → 3 decision from
+// core.AgreeVariant and end in the same response tail (finishDepminer).
 //
 // The per-shard fallback ladder: transport retry/backoff (client
 // policy) → push the dataset and dispatch once more (worker answered
@@ -88,15 +90,32 @@ func newCoordinator(endpoints []string) (*coordinator, error) {
 	return co, nil
 }
 
-// discSource is the input of one depminer discovery: the stripped
-// partition database plus (when materialised or required) the relation,
-// pinned to the fingerprint both were derived from.
+// discSource is the input of one depminer discovery, pinned to the
+// fingerprint it was derived from: the relation when materialised, the
+// stripped partition database when streamed from a snapshot. A
+// materialised source builds its database at most once, on first use
+// (database), so no discovery builds the partitions twice.
 type discSource struct {
-	db       *partition.Database
-	rel      *relation.Relation // nil when streamed from a snapshot
-	fp       string
-	names    []string
-	streamed bool
+	db          *partition.Database // nil until built when materialised
+	rel         *relation.Relation  // nil when streamed from a snapshot
+	fp          string
+	names       []string
+	rows, arity int
+	streamed    bool
+	// build is how long building db took here (zero until built); it is
+	// reported as the partition phase.
+	build time.Duration
+}
+
+// database returns the stripped partition database, building it from the
+// relation on first use.
+func (src *discSource) database() *partition.Database {
+	if src.db == nil {
+		t0 := time.Now()
+		src.db = partition.NewDatabase(src.rel)
+		src.build = time.Since(t0)
+	}
+	return src.db
 }
 
 // discoverySource builds the discovery input for d, preferring a
@@ -116,7 +135,7 @@ func (s *Server) discoverySource(d *dataset, needRelation bool) (*discSource, er
 	if err != nil {
 		return nil, err
 	}
-	return &discSource{db: partition.NewDatabase(rel), rel: rel, fp: fp, names: rel.Names()}, nil
+	return &discSource{rel: rel, fp: fp, names: rel.Names(), rows: rel.Rows(), arity: rel.Arity()}, nil
 }
 
 func (s *Server) tryStreamSource(d *dataset) (*discSource, bool) {
@@ -139,6 +158,7 @@ func (s *Server) tryStreamSource(d *dataset) (*discSource, bool) {
 	if sr.Fingerprint() != fp {
 		return nil, false
 	}
+	t0 := time.Now()
 	db, err := partition.NewDatabaseFromSource(sr)
 	if err != nil {
 		return nil, false
@@ -146,7 +166,10 @@ func (s *Server) tryStreamSource(d *dataset) (*discSource, bool) {
 	s.stats.mu.Lock()
 	s.stats.snapshotStreams++
 	s.stats.mu.Unlock()
-	return &discSource{db: db, fp: fp, names: append([]string(nil), sr.Names()...), streamed: true}, true
+	return &discSource{
+		db: db, fp: fp, names: append([]string(nil), sr.Names()...),
+		rows: db.NumRows, arity: db.Arity(), streamed: true, build: time.Since(t0),
+	}, true
 }
 
 // coreOptions maps resolved request params onto pipeline options.
@@ -168,30 +191,6 @@ func (s *Server) coreOptions(p discoverParams, budget *guard.Budget) core.Option
 	return opts
 }
 
-func (s *Server) newDepminerResponse(d *dataset, p discoverParams, src *discSource) *DiscoverResponse {
-	return &DiscoverResponse{
-		Dataset:          d.id,
-		Fingerprint:      src.fp,
-		Algorithm:        p.algorithm,
-		Rows:             src.db.NumRows,
-		Attributes:       src.db.Arity(),
-		SnapshotStreamed: src.streamed,
-	}
-}
-
-// adoptArmstrong copies a result's Armstrong relation into the response.
-func adoptArmstrong(resp *DiscoverResponse, res *core.Result) {
-	if res.Armstrong == nil {
-		return
-	}
-	arm := res.Armstrong
-	resp.ArmstrongSynthetic = res.ArmstrongSynthetic
-	resp.Armstrong = make([][]string, arm.Rows())
-	for t := 0; t < arm.Rows(); t++ {
-		resp.Armstrong[t] = arm.Row(t)
-	}
-}
-
 // runDepminer serves the depminer/depminer2 algorithms: sharded across
 // the worker fleet when this server is a coordinator, locally otherwise
 // (from a streamed snapshot when the dataset allows it).
@@ -200,18 +199,36 @@ func (s *Server) runDepminer(ctx context.Context, d *dataset, p discoverParams, 
 	if err != nil {
 		return nil, err
 	}
+	resp := &DiscoverResponse{
+		Dataset:          d.id,
+		Fingerprint:      src.fp,
+		Algorithm:        p.algorithm,
+		Rows:             src.rows,
+		Attributes:       src.arity,
+		SnapshotStreamed: src.streamed,
+	}
 	if s.coord != nil {
-		return s.runSharded(ctx, d, p, start, budget, src)
+		return s.runSharded(ctx, d, p, start, budget, src, resp)
 	}
-	resp := s.newDepminerResponse(d, p, src)
 	opts := s.coreOptions(p, budget)
-	var res *core.Result
-	var runErr error
-	if src.rel != nil {
-		res, runErr = core.Discover(ctx, src.rel, opts)
-	} else {
-		res, runErr = core.DiscoverFromDatabase(ctx, src.db, opts)
+	if src.db == nil {
+		// Discover builds the partition database itself, as its timed
+		// partition phase.
+		res, runErr := core.Discover(ctx, src.rel, opts)
+		return s.finishDepminer(ctx, resp, res, runErr, src.names, start, budget)
 	}
+	res, runErr := core.DiscoverFromDatabase(ctx, src.db, opts)
+	if res != nil {
+		res.Stats.Partition.Duration = src.build
+	}
+	return s.finishDepminer(ctx, resp, res, runErr, src.names, start, budget)
+}
+
+// finishDepminer is the one response and stats tail of a depminer
+// discovery, local or sharded: it copies the result's counters into the
+// response, folds its phases and spill traffic into the server stats,
+// and renders the cover.
+func (s *Server) finishDepminer(ctx context.Context, resp *DiscoverResponse, res *core.Result, runErr error, names []string, start time.Time, budget *guard.Budget) (*DiscoverResponse, error) {
 	var cover fd.Cover
 	var partial bool
 	if res != nil {
@@ -220,60 +237,55 @@ func (s *Server) runDepminer(ctx context.Context, d *dataset, p discoverParams, 
 		resp.AgreeSets = len(res.AgreeSets)
 		resp.MaxSets = len(res.MaxSets)
 		resp.Notes = res.Notes
-		adoptArmstrong(resp, res)
+		if arm := res.Armstrong; arm != nil {
+			resp.ArmstrongSynthetic = res.ArmstrongSynthetic
+			resp.Armstrong = make([][]string, arm.Rows())
+			for t := range resp.Armstrong {
+				resp.Armstrong[t] = arm.Row(t)
+			}
+		}
 		resp.SpilledRuns = res.Stats.Spill.RunsSpilled
 		resp.SpilledBytes = res.Stats.Spill.SpilledBytes
 		s.stats.mu.Lock()
 		s.stats.addPhases(res.Stats)
-		s.stats.addSpill(res.Stats.Spill)
+		s.stats.spill.Add(res.Stats.Spill)
 		s.stats.mu.Unlock()
 		s.logPhases(ctx, res.Stats)
 	}
-	if runErr != nil && !partial {
-		return nil, runErr
-	}
-	resp.FDs = renderCover(cover, src.names)
-	resp.Partial = partial
-	if runErr != nil {
-		resp.Error = runErr.Error()
-	}
-	resp.BudgetUsed = budget.Used()
-	resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
-	return resp, nil
+	return finishResponse(resp, cover, partial, runErr, names, start, budget)
 }
 
 // runSharded executes one coordinated discovery: split the couple
 // space, fan the shards out, adopt the returned runs, merge, and run
 // the canonical tail locally. Only governance (budget, deadline) can
 // make the outcome partial; nothing can make it wrong — a stream that
-// fails verification is discarded and its shard recomputed.
-func (s *Server) runSharded(ctx context.Context, d *dataset, p discoverParams, start time.Time, budget *guard.Budget, src *discSource) (*DiscoverResponse, error) {
-	resp := s.newDepminerResponse(d, p, src)
+// fails verification is discarded and its shard recomputed. A governed
+// cutoff before the merge keeps the topology and couple count in the
+// response but reports no cover.
+func (s *Server) runSharded(ctx context.Context, d *dataset, p discoverParams, start time.Time, budget *guard.Budget, src *discSource, resp *DiscoverResponse) (*DiscoverResponse, error) {
 	// The coordinator plans through the same fingerprint-keyed cache the
 	// workers use: replanning an unchanged dataset would re-sort the
 	// whole couple space on every discovery for nothing. An append
 	// changes the fingerprint, so a cached plan can never be stale.
 	plan, err := s.plans.get(src.fp, func() (*agree.Plan, error) {
-		return agree.NewPlan(src.db), nil
+		return agree.NewPlan(src.database()), nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	resp.Couples = plan.Couples()
 
-	variant := agree.VariantCouples
+	// The degradation decision is core's, made once from the global
+	// couple count and dispatched uniformly, so no shard can diverge —
+	// and the note matches single-node byte for byte.
+	opts := s.coreOptions(p, budget)
+	variant, note := core.AgreeVariant(opts, plan.Couples())
 	algo := "depminer"
-	if p.algorithm == "depminer2" {
-		variant = agree.VariantIdentifiers
+	if variant == agree.VariantIdentifiers {
 		algo = "depminer2"
 	}
-	// The coordinator owns the Algorithm 2 → 3 degradation decision: made
-	// once from the global couple count and dispatched uniformly, so no
-	// shard can diverge — and the note matches single-node byte for byte.
-	if variant == agree.VariantCouples && p.maxCouples > 0 && plan.Couples() > p.maxCouples {
-		variant = agree.VariantIdentifiers
-		algo = "depminer2"
-		resp.Notes = append(resp.Notes, core.DegradeNote(plan.Couples(), p.maxCouples))
+	if note != "" {
+		resp.Notes = []string{note}
 	}
 
 	n := p.shards
@@ -294,7 +306,7 @@ func (s *Server) runSharded(ctx context.Context, d *dataset, p discoverParams, s
 	// charged once, up front, by whoever owns the discovery (workers
 	// charge their own shard against their own budgets).
 	if cerr := budget.Charge("agree", plan.Couples()); cerr != nil {
-		return s.shardPartial(resp, start, budget, cerr)
+		return finishResponse(resp, nil, true, cerr, nil, start, budget)
 	}
 
 	sp := extsort.NewSpiller(s.cfg.SpillDir, budget)
@@ -330,7 +342,7 @@ func (s *Server) runSharded(ctx context.Context, d *dataset, p discoverParams, s
 		obs.Duration("stream", run.streamDur))
 	if run.firstErr != nil {
 		if guard.Governed(run.firstErr) {
-			return s.shardPartial(resp, start, budget, run.firstErr)
+			return finishResponse(resp, nil, true, run.firstErr, nil, start, budget)
 		}
 		return nil, run.firstErr
 	}
@@ -349,7 +361,7 @@ func (s *Server) runSharded(ctx context.Context, d *dataset, p discoverParams, s
 	}
 	if mergeErr != nil {
 		if guard.Governed(mergeErr) {
-			return s.shardPartial(resp, start, budget, mergeErr)
+			return finishResponse(resp, nil, true, mergeErr, nil, start, budget)
 		}
 		return nil, fmt.Errorf("shard merge: %w", mergeErr)
 	}
@@ -357,63 +369,26 @@ func (s *Server) runSharded(ctx context.Context, d *dataset, p discoverParams, s
 	run.mergeDur = time.Since(mergeStart)
 	if cerr := budget.Charge("agree", len(fam)); cerr != nil {
 		resp.AgreeSets = len(fam)
-		return s.shardPartial(resp, start, budget, cerr)
+		return finishResponse(resp, nil, true, cerr, nil, start, budget)
 	}
 	agreeDur := time.Since(agreeStart)
+	obs.Event(ctx, s.log, "shard merge done",
+		obs.Int("sets", len(fam)),
+		obs.Duration("merge", run.mergeDur))
 
-	opts := s.coreOptions(p, budget)
-	res, runErr := core.DiscoverFromAgreeSets(ctx, src.rel, fam, plan.Arity(), opts)
-	var cover fd.Cover
-	var partial bool
+	res, runErr := core.DiscoverFromAgreeSets(ctx, src.rel, fam, src.arity, opts)
 	if res != nil {
-		cover, partial = res.FDs, res.Partial
-		resp.AgreeSets = len(res.AgreeSets)
-		resp.MaxSets = len(res.MaxSets)
-		adoptArmstrong(resp, res)
-
-		spill := sp.Stats()
-		spill.RunsSpilled += run.spill.RunsSpilled
-		spill.SpilledSets += run.spill.SpilledSets
-		spill.SpilledBytes += run.spill.SpilledBytes
-		spill.MergedRuns += run.spill.MergedRuns
-		spill.ReadBlocks += run.spill.ReadBlocks
-		resp.SpilledRuns = spill.RunsSpilled
-		resp.SpilledBytes = spill.SpilledBytes
-
-		st := res.Stats
-		st.AgreeSets.Duration = agreeDur // the distributed sweep, coordinator clock
-		s.stats.mu.Lock()
-		s.stats.addPhases(st)
-		s.stats.addSpill(spill)
-		s.stats.mu.Unlock()
-		s.logPhases(ctx, st)
-		obs.Event(ctx, s.log, "shard merge done",
-			obs.Int("sets", len(fam)),
-			obs.Duration("merge", run.mergeDur))
+		// The agree-set counters are the fan-out's: the coordinator's
+		// couple count and note, the distributed sweep on its clock, and
+		// the spill traffic of the merge plus the local-fallback shards.
+		res.Couples = plan.Couples()
+		res.Notes = append(resp.Notes, res.Notes...)
+		res.Stats.Partition.Duration = src.build
+		res.Stats.AgreeSets.Duration = agreeDur
+		res.Stats.Spill = sp.Stats()
+		res.Stats.Spill.Add(run.spill)
 	}
-	if runErr != nil && !partial {
-		return nil, runErr
-	}
-	resp.FDs = renderCover(cover, src.names)
-	resp.Partial = partial
-	if runErr != nil {
-		resp.Error = runErr.Error()
-	}
-	resp.BudgetUsed = budget.Used()
-	resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
-	return resp, nil
-}
-
-// shardPartial finishes a governed sharded discovery: topology and
-// couple counts survive, no cover is reported, and the guard error is
-// surfaced per the partial-result contract (a 200 with Partial set).
-func (s *Server) shardPartial(resp *DiscoverResponse, start time.Time, budget *guard.Budget, gerr error) (*DiscoverResponse, error) {
-	resp.Partial = true
-	resp.Error = gerr.Error()
-	resp.FDs = []string{}
-	resp.BudgetUsed = budget.Used()
-	resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
-	return resp, nil
+	return s.finishDepminer(ctx, resp, res, runErr, src.names, start, budget)
 }
 
 // shardRun is the mutable state of one fan-out.
@@ -583,11 +558,7 @@ func (r *shardRun) computeLocal(ctx context.Context, sh agree.Shard, cause error
 	})
 	if res != nil {
 		r.mu.Lock()
-		r.spill.RunsSpilled += res.Spill.RunsSpilled
-		r.spill.SpilledSets += res.Spill.SpilledSets
-		r.spill.SpilledBytes += res.Spill.SpilledBytes
-		r.spill.MergedRuns += res.Spill.MergedRuns
-		r.spill.ReadBlocks += res.Spill.ReadBlocks
+		r.spill.Add(res.Spill)
 		r.mu.Unlock()
 	}
 	if err != nil {
@@ -799,7 +770,7 @@ func (s *Server) handleShardAgree(w http.ResponseWriter, r *http.Request) {
 		if src.fp != req.Fingerprint {
 			return nil, errShardStale
 		}
-		return agree.NewPlan(src.db), nil
+		return agree.NewPlan(src.database()), nil
 	})
 	if err != nil {
 		s.noteShardServedError()
@@ -820,28 +791,11 @@ func (s *Server) handleShardAgree(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Clamp shard governance exactly like resolveParams clamps a
-	// discovery's; the worker charges its own shard's couples, the
-	// worker-side analogue of the coordinator's single upfront charge.
-	timeout := s.cfg.MaxTimeout
-	if req.TimeoutMS > 0 {
-		if t := time.Duration(req.TimeoutMS) * time.Millisecond; t < timeout {
-			timeout = t
-		}
-	}
-	units := req.BudgetUnits
-	if s.cfg.MaxBudgetUnits > 0 && (units == 0 || units > s.cfg.MaxBudgetUnits) {
-		units = s.cfg.MaxBudgetUnits
-	}
-	maxAgree := req.MaxAgreeBytes
-	if s.cfg.MaxAgreeBytes > 0 && (maxAgree == 0 || maxAgree > s.cfg.MaxAgreeBytes) {
-		maxAgree = s.cfg.MaxAgreeBytes
-	}
-	workers := req.Workers
-	if workers == 0 {
-		workers = s.cfg.Workers
-	}
-	budget := guard.WithTimeout(timeout, units)
+	// The worker charges its own shard's couples, the worker-side
+	// analogue of the coordinator's single upfront charge.
+	p := discoverParams{workers: req.Workers, units: req.BudgetUnits, maxAgreeBytes: req.MaxAgreeBytes}
+	s.clamp(&p, req.TimeoutMS)
+	budget := guard.WithTimeout(p.timeout, p.units)
 	if cerr := budget.Charge("agree", req.CoupleEnd-req.CoupleStart); cerr != nil {
 		s.noteShardServedError()
 		writeError(w, classifyStatus(cerr), "shard budget: %v", cerr)
@@ -854,9 +808,9 @@ func (s *Server) handleShardAgree(w http.ResponseWriter, r *http.Request) {
 	res, cerr := plan.ComputeShard(r.Context(),
 		agree.Shard{Start: req.CoupleStart, End: req.CoupleEnd}, variant,
 		agree.Options{
-			Workers:       workers,
+			Workers:       p.workers,
 			Budget:        budget,
-			MaxAgreeBytes: maxAgree,
+			MaxAgreeBytes: p.maxAgreeBytes,
 			SpillDir:      s.cfg.SpillDir,
 		}, rw.Write)
 	if cerr == nil {
@@ -864,7 +818,7 @@ func (s *Server) handleShardAgree(w http.ResponseWriter, r *http.Request) {
 	}
 	if res != nil {
 		s.stats.mu.Lock()
-		s.stats.addSpill(res.Spill)
+		s.stats.spill.Add(res.Spill)
 		s.stats.mu.Unlock()
 	}
 	if cerr != nil {
