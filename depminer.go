@@ -332,12 +332,13 @@ func IncrementalFromRelation(r *Relation) (*IncrementalMiner, error) {
 }
 
 // StreamedDatabase is a stripped partition database built from a CSV
-// stream in one pass, without materialising the relation.
+// stream in one pass; the relation itself is not retained.
 type StreamedDatabase = partition.StreamResult
 
 // StreamCSV extracts the stripped partition database from CSV data in
-// bounded memory (per-column dictionaries and tuple-id buckets only); the
-// result feeds DiscoverStreamed. Real-world Armstrong relations are
+// one pass, encoding each record as it is read (per-column dictionaries
+// and code columns only, no buffered rows); the result feeds
+// DiscoverStreamed. Real-world Armstrong relations are
 // unavailable on this path because cell values are not retained.
 func StreamCSV(r io.Reader, header bool) (*StreamedDatabase, error) {
 	return partition.Stream(r, header)

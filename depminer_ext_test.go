@@ -61,10 +61,7 @@ func TestPublicAPIIncremental(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := m.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := m.Snapshot()
 	arm, err := RealWorldArmstrong(snap, maxSets)
 	if err != nil {
 		t.Fatal(err)

@@ -59,10 +59,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	snap, err := m.Snapshot()
-	if err != nil {
-		log.Fatal(err)
-	}
+	snap := m.Snapshot()
 	arm, err := depminer.RealWorldArmstrong(snap, maxSets)
 	if err != nil {
 		fmt.Printf("\n(real-world Armstrong relation unavailable: %v)\n", err)

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"repro/internal/faultinject"
+	"repro/internal/relation"
 )
 
 // Token identifies a logged-but-possibly-unsynced WAL write: the logical
@@ -17,20 +18,20 @@ import (
 type Token int64
 
 // Dataset is the durable handle of one registered dataset: its WAL
-// writer, group-commit syncer, and the columnar mirror the compactor
-// snapshots. Appends may be issued concurrently; frames are written under
-// an internal lock and fsyncs are shared (group commit).
+// writer, group-commit syncer, and the column store (relation.Columns)
+// mirroring the logged rows, which the compactor snapshots. Appends may
+// be issued concurrently; frames are written under an internal lock and
+// fsyncs are shared (group commit).
 type Dataset struct {
 	id    string
 	dir   string
 	store *Store
 
-	// wmu serialises frame writes, columnar updates, and compaction.
+	// wmu serialises frame writes, column store appends, and compaction.
 	wmu  sync.Mutex
 	wal  *os.File
-	cols *colstore
+	cols *relation.Columns
 	name string
-	rows int
 	fp   string
 	// tail counts append records since the last snapshot; at
 	// SnapshotEvery the dataset is queued for compaction.
@@ -72,27 +73,6 @@ func (y *syncer) fail(err error) {
 // ID returns the dataset's registry id (also its directory name).
 func (d *Dataset) ID() string { return d.id }
 
-// SnapshotInfo reports the dataset's snapshot path and whether the
-// snapshot alone reproduces the full acknowledged state: a snapshot file
-// exists and no append records landed after it. Such a snapshot can be
-// streamed into discovery (durable.OpenSnapshotStream) instead of
-// materialising the relation; the snapshot's embedded fingerprint lets
-// readers re-verify against the registry after opening, so a compaction
-// or append racing this check degrades to the materialised path, never
-// to stale data.
-func (d *Dataset) SnapshotInfo() (path string, complete bool) {
-	d.wmu.Lock()
-	defer d.wmu.Unlock()
-	path = filepath.Join(d.dir, "snapshot.snap")
-	if d.tail != 0 {
-		return path, false
-	}
-	if _, err := os.Stat(path); err != nil {
-		return path, false
-	}
-	return path, true
-}
-
 // Append logs one acknowledged-to-be batch: rows were committed in
 // memory, bringing the dataset to rowsAfter total rows with content
 // fingerprint fp. The frame is written (not yet synced) and a Token is
@@ -126,7 +106,7 @@ func (d *Dataset) Append(rows [][]string, rowsAfter int, fp string) (Token, erro
 		return 0, werr
 	}
 	for _, row := range rows {
-		if err := d.cols.appendRow(row); err != nil {
+		if err := d.cols.Append(row); err != nil {
 			// Arity was validated upstream; reaching here is a bug, but
 			// poison the dataset rather than diverge silently.
 			d.sy.mu.Lock()
@@ -135,7 +115,6 @@ func (d *Dataset) Append(rows [][]string, rowsAfter int, fp string) (Token, erro
 			return 0, err
 		}
 	}
-	d.rows = rowsAfter
 	d.fp = fp
 	d.tail++
 	d.walSize += int64(len(frame))
@@ -216,7 +195,7 @@ func (d *Dataset) compact() error {
 		return nil
 	}
 
-	data := encodeSnapshot(d.name, d.cols, d.fp)
+	data := encodeSnapshot(d.name, d.cols.Relation(), d.fp)
 	tmp := filepath.Join(d.dir, "snapshot.tmp")
 	final := filepath.Join(d.dir, "snapshot.snap")
 	err := faultinject.Fire(faultinject.DurableWrite)

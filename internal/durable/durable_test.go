@@ -11,7 +11,18 @@ import (
 	"testing"
 
 	"repro/internal/faultinject"
+	"repro/internal/relation"
 )
+
+// mustRelation encodes rows over names.
+func mustRelation(t *testing.T, names []string, rows [][]string) *relation.Relation {
+	t.Helper()
+	r, err := relation.FromRows(names, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
 
 // testRows builds n deterministic rows over a 3-attribute schema with
 // enough repeated values to exercise the dictionaries.
@@ -103,10 +114,10 @@ func TestCreateAppendReopen(t *testing.T) {
 	if rd.Fingerprint != wantFP {
 		t.Fatalf("recovered fp %s, want %s", rd.Fingerprint, wantFP)
 	}
-	if len(rd.Rows) != 12 {
-		t.Fatalf("recovered %d rows, want 12", len(rd.Rows))
+	if rd.Relation.Rows() != 12 {
+		t.Fatalf("recovered %d rows, want 12", rd.Relation.Rows())
 	}
-	if got := ContentFingerprint(rd.Names, rd.Rows); got != wantFP {
+	if got := FingerprintOf(rd.Relation).Sum(); got != wantFP {
 		t.Fatalf("replayed content fingerprint %s, want %s", got, wantFP)
 	}
 	if rd.Replayed != 3 { // register + 2 appends
@@ -133,10 +144,7 @@ func TestRecoveredDatasetAcceptsAppends(t *testing.T) {
 	if !ok {
 		t.Fatal("recovered dataset not addressable")
 	}
-	f2 := NewFingerprint(testNames)
-	for _, r := range rec.Datasets[0].Rows {
-		f2.AddRow(r)
-	}
+	f2 := FingerprintOf(rec.Datasets[0].Relation)
 	mustAppend(t, d2, f2, 5, testRows(5, 4))
 	want := f2.Sum()
 	s2.Close()
@@ -145,7 +153,7 @@ func TestRecoveredDatasetAcceptsAppends(t *testing.T) {
 	if got := rec3.Datasets[0].Fingerprint; got != want {
 		t.Fatalf("after post-recovery append: fp %s, want %s", got, want)
 	}
-	if n := len(rec3.Datasets[0].Rows); n != 9 {
+	if n := rec3.Datasets[0].Relation.Rows(); n != 9 {
 		t.Fatalf("after post-recovery append: %d rows, want 9", n)
 	}
 }
@@ -192,9 +200,9 @@ func TestTornTailTruncated(t *testing.T) {
 		if !rd.TornTail {
 			t.Fatalf("cut=%d no torn tail reported", cut)
 		}
-		if len(rd.Rows) != 7 || rd.Fingerprint != prefixFP {
+		if rd.Relation.Rows() != 7 || rd.Fingerprint != prefixFP {
 			t.Fatalf("cut=%d recovered %d rows fp=%s, want 7 rows fp=%s",
-				cut, len(rd.Rows), rd.Fingerprint, prefixFP)
+				cut, rd.Relation.Rows(), rd.Fingerprint, prefixFP)
 		}
 		// The repair must be durable: the file now holds only the prefix.
 		repaired, err := os.ReadFile(filepath.Join(dsDir, "wal.log"))
@@ -377,8 +385,8 @@ func TestCompactionFoldsWAL(t *testing.T) {
 		t.Fatalf("recovery %+v", rec)
 	}
 	rd := rec.Datasets[0]
-	if len(rd.Rows) != rows || rd.Fingerprint != want {
-		t.Fatalf("recovered %d rows fp=%s, want %d fp=%s", len(rd.Rows), rd.Fingerprint, rows, want)
+	if rd.Relation.Rows() != rows || rd.Fingerprint != want {
+		t.Fatalf("recovered %d rows fp=%s, want %d fp=%s", rd.Relation.Rows(), rd.Fingerprint, rows, want)
 	}
 	if rd.Replayed != 1 { // only the post-snapshot append
 		t.Fatalf("replayed %d records over snapshot, want 1", rd.Replayed)
@@ -401,8 +409,8 @@ func TestCompactAllThenReopenReplaysNothing(t *testing.T) {
 	if rd.Replayed != 0 {
 		t.Fatalf("replayed %d records after a clean drain, want 0", rd.Replayed)
 	}
-	if rd.Fingerprint != want || len(rd.Rows) != 12 {
-		t.Fatalf("drained recovery %d rows fp=%s", len(rd.Rows), rd.Fingerprint)
+	if rd.Fingerprint != want || rd.Relation.Rows() != 12 {
+		t.Fatalf("drained recovery %d rows fp=%s", rd.Relation.Rows(), rd.Fingerprint)
 	}
 }
 
@@ -441,8 +449,8 @@ func TestReplaySkipsRecordsCoveredBySnapshot(t *testing.T) {
 		t.Fatalf("quarantined: %+v", rec.Quarantined)
 	}
 	rd := rec.Datasets[0]
-	if len(rd.Rows) != 8 || rd.Fingerprint != want {
-		t.Fatalf("recovered %d rows fp=%s, want 8 fp=%s", len(rd.Rows), rd.Fingerprint, want)
+	if rd.Relation.Rows() != 8 || rd.Fingerprint != want {
+		t.Fatalf("recovered %d rows fp=%s, want 8 fp=%s", rd.Relation.Rows(), rd.Fingerprint, want)
 	}
 	if rd.Replayed != 1 {
 		t.Fatalf("replayed %d, want 1 (covered records skipped)", rd.Replayed)
@@ -475,27 +483,21 @@ func TestCorruptSnapshotQuarantined(t *testing.T) {
 }
 
 func TestSnapshotRoundtrip(t *testing.T) {
-	c := newColstore(testNames)
 	rows := testRows(0, 50)
-	for _, r := range rows {
-		if err := c.appendRow(r); err != nil {
-			t.Fatal(err)
-		}
-	}
 	fp := ContentFingerprint(testNames, rows)
-	data := encodeSnapshot("t/round", c, fp)
+	data := encodeSnapshot("t/round", mustRelation(t, testNames, rows), fp)
 	name, c2, fp2, err := decodeSnapshot(data)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if name != "t/round" || fp2 != fp || c2.rows != 50 {
-		t.Fatalf("decoded name=%q fp=%s rows=%d", name, fp2, c2.rows)
+	if name != "t/round" || fp2 != fp || c2.Rows() != 50 {
+		t.Fatalf("decoded name=%q fp=%s rows=%d", name, fp2, c2.Rows())
 	}
-	back := c2.materialize()
+	back := c2.Relation()
 	for i := range rows {
 		for a := range rows[i] {
-			if back[i][a] != rows[i][a] {
-				t.Fatalf("row %d attr %d: %q != %q", i, a, back[i][a], rows[i][a])
+			if back.Value(i, a) != rows[i][a] {
+				t.Fatalf("row %d attr %d: %q != %q", i, a, back.Value(i, a), rows[i][a])
 			}
 		}
 	}
@@ -559,8 +561,8 @@ func TestGroupCommitConcurrentAppends(t *testing.T) {
 
 	_, rec := openStore(t, dir, Options{})
 	rd := rec.Datasets[0]
-	if len(rd.Rows) != workers*perWorker*2 || rd.Fingerprint != want {
-		t.Fatalf("recovered %d rows fp=%s, want %d fp=%s", len(rd.Rows), rd.Fingerprint, workers*perWorker*2, want)
+	if rd.Relation.Rows() != workers*perWorker*2 || rd.Fingerprint != want {
+		t.Fatalf("recovered %d rows fp=%s, want %d fp=%s", rd.Relation.Rows(), rd.Fingerprint, workers*perWorker*2, want)
 	}
 }
 
@@ -593,8 +595,8 @@ func TestWriteFaultMarksBroken(t *testing.T) {
 	// Reboot recovers the last durable prefix, cleanly.
 	_, rec := openStore(t, dir, Options{})
 	rd := rec.Datasets[0]
-	if len(rd.Rows) != 5 || rd.Fingerprint != durableFP {
-		t.Fatalf("recovered %d rows fp=%s, want 5 fp=%s", len(rd.Rows), rd.Fingerprint, durableFP)
+	if rd.Relation.Rows() != 5 || rd.Fingerprint != durableFP {
+		t.Fatalf("recovered %d rows fp=%s, want 5 fp=%s", rd.Relation.Rows(), rd.Fingerprint, durableFP)
 	}
 }
 
@@ -651,8 +653,8 @@ func TestRenameFaultLeavesWALAuthoritative(t *testing.T) {
 
 	_, rec := openStore(t, dir, Options{})
 	rd := rec.Datasets[0]
-	if len(rd.Rows) != 8 || rd.Fingerprint != want {
-		t.Fatalf("recovered %d rows fp=%s after failed+retried compaction", len(rd.Rows), rd.Fingerprint)
+	if rd.Relation.Rows() != 8 || rd.Fingerprint != want {
+		t.Fatalf("recovered %d rows fp=%s after failed+retried compaction", rd.Relation.Rows(), rd.Fingerprint)
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"hash"
+
+	"repro/internal/relation"
 )
 
 // Fingerprint is the running content hash identifying a dataset instance:
@@ -47,6 +49,20 @@ func (f *Fingerprint) AddRow(row []string) {
 // consume the state; more rows can be added after.
 func (f *Fingerprint) Sum() string {
 	return hex.EncodeToString(f.h.Sum(nil))
+}
+
+// FingerprintOf starts the running hash of r's schema and every row of
+// it, ready for more rows.
+func FingerprintOf(r *relation.Relation) *Fingerprint {
+	f := NewFingerprint(r.Names())
+	row := make([]string, r.Arity())
+	for t := 0; t < r.Rows(); t++ {
+		for a := range row {
+			row[a] = r.Value(t, a)
+		}
+		f.AddRow(row)
+	}
+	return f
 }
 
 // ContentFingerprint computes the fingerprint of a complete relation in

@@ -4,6 +4,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/relation"
 )
 
 // fuzzSeedWAL builds a realistic multi-record WAL the fuzzer mutates.
@@ -65,7 +67,7 @@ func FuzzWALReplay(f *testing.F) {
 				len(rec.Datasets), len(rec.Quarantined))
 		}
 		for _, rd := range rec.Datasets {
-			if got := ContentFingerprint(rd.Names, rd.Rows); got != rd.Fingerprint {
+			if got := FingerprintOf(rd.Relation).Sum(); got != rd.Fingerprint {
 				t.Fatalf("recovered dataset fails its own fingerprint: %s != %s", got, rd.Fingerprint)
 			}
 		}
@@ -103,12 +105,12 @@ func FuzzWALReplay(f *testing.F) {
 // bytes must decode cleanly or error, never panic, and a successful
 // decode must round-trip.
 func FuzzSnapshotDecode(f *testing.F) {
-	c := newColstore([]string{"a", "b"})
 	rows := [][]string{{"x", "1"}, {"y", "2"}, {"x", "2"}}
-	for _, r := range rows {
-		c.appendRow(r)
+	rel, err := relation.FromRows([]string{"a", "b"}, rows)
+	if err != nil {
+		f.Fatal(err)
 	}
-	good := encodeSnapshot("fuzz/snap", c, ContentFingerprint([]string{"a", "b"}, rows))
+	good := encodeSnapshot("fuzz/snap", rel, ContentFingerprint([]string{"a", "b"}, rows))
 	f.Add(good)
 	f.Add(good[:len(good)-3])
 	f.Add(flipAt(good, len(good)/2))
@@ -119,13 +121,13 @@ func FuzzSnapshotDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		c2Rows := c.materialize()
-		reenc := encodeSnapshot(name, c, fp)
+		reenc := encodeSnapshot(name, c.Relation(), fp)
 		name2, c2, fp2, err := decodeSnapshot(reenc)
 		if err != nil {
 			t.Fatalf("re-encode of accepted snapshot fails decode: %v", err)
 		}
-		if name2 != name || fp2 != fp || c2.rows != len(c2Rows) {
+		if name2 != name || fp2 != fp || c2.Rows() != c.Rows() ||
+			FingerprintOf(c2.Relation()).Sum() != FingerprintOf(c.Relation()).Sum() {
 			t.Fatal("snapshot round-trip drifted")
 		}
 	})

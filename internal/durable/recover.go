@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
+	"repro/internal/relation"
 )
 
 // recoverAll scans the datasets directory and rebuilds every dataset.
@@ -75,7 +76,7 @@ func (s *Store) recoverOne(id, dir string) (*Dataset, *RecoveredDataset, string,
 	}
 
 	var (
-		cols    *colstore
+		cols    *relation.Columns
 		name    string
 		lastFP  string
 		applied int
@@ -117,7 +118,7 @@ func (s *Store) recoverOne(id, dir string) (*Dataset, *RecoveredDataset, string,
 		switch r.Kind {
 		case recRegister:
 			if cols != nil {
-				if r.RowsAfter > cols.rows {
+				if r.RowsAfter > cols.Rows() {
 					return nil, nil, fmt.Sprintf("registration record at index %d above snapshot watermark", i), nil
 				}
 				continue // pre-snapshot history
@@ -128,10 +129,13 @@ func (s *Store) recoverOne(id, dir string) (*Dataset, *RecoveredDataset, string,
 			if r.RowsAfter != len(r.Rows) {
 				return nil, nil, fmt.Sprintf("registration row watermark %d does not match its %d rows", r.RowsAfter, len(r.Rows)), nil
 			}
-			cols = newColstore(r.Names)
+			var cerr error
+			if cols, cerr = relation.NewColumns(r.Names); cerr != nil {
+				return nil, nil, fmt.Sprintf("registration schema: %v", cerr), nil
+			}
 			name = r.Name
 			for _, row := range r.Rows {
-				if aerr := cols.appendRow(row); aerr != nil {
+				if aerr := cols.Append(row); aerr != nil {
 					return nil, nil, fmt.Sprintf("registration rows: %v", aerr), nil
 				}
 			}
@@ -141,14 +145,14 @@ func (s *Store) recoverOne(id, dir string) (*Dataset, *RecoveredDataset, string,
 			if cols == nil {
 				return nil, nil, "append record before any registration or snapshot", nil
 			}
-			if r.RowsAfter <= cols.rows {
+			if r.RowsAfter <= cols.Rows() {
 				continue // already in the snapshot
 			}
-			if r.RowsAfter != cols.rows+len(r.Rows) {
-				return nil, nil, fmt.Sprintf("sequence gap: record raises rows to %d but %d+%d expected", r.RowsAfter, cols.rows, len(r.Rows)), nil
+			if r.RowsAfter != cols.Rows()+len(r.Rows) {
+				return nil, nil, fmt.Sprintf("sequence gap: record raises rows to %d but %d+%d expected", r.RowsAfter, cols.Rows(), len(r.Rows)), nil
 			}
 			for _, row := range r.Rows {
-				if aerr := cols.appendRow(row); aerr != nil {
+				if aerr := cols.Append(row); aerr != nil {
 					return nil, nil, fmt.Sprintf("append rows: %v", aerr), nil
 				}
 			}
@@ -162,8 +166,8 @@ func (s *Store) recoverOne(id, dir string) (*Dataset, *RecoveredDataset, string,
 
 	// The decisive check: the fingerprint of the replayed content must
 	// equal the one recorded when the last surviving record was written.
-	rows := cols.materialize()
-	if got := ContentFingerprint(cols.names, rows); got != lastFP {
+	rel := cols.Relation()
+	if got := FingerprintOf(rel).Sum(); got != lastFP {
 		return nil, nil, fmt.Sprintf("fingerprint mismatch: recorded %.12s…, replayed %.12s…", lastFP, got), nil
 	}
 
@@ -178,7 +182,6 @@ func (s *Store) recoverOne(id, dir string) (*Dataset, *RecoveredDataset, string,
 		wal:     wal,
 		cols:    cols,
 		name:    name,
-		rows:    cols.rows,
 		fp:      lastFP,
 		tail:    applied,
 		walSize: int64(validLen),
@@ -189,8 +192,7 @@ func (s *Store) recoverOne(id, dir string) (*Dataset, *RecoveredDataset, string,
 	rd := &RecoveredDataset{
 		ID:          id,
 		Name:        name,
-		Names:       append([]string(nil), cols.names...),
-		Rows:        rows,
+		Relation:    rel,
 		Fingerprint: lastFP,
 		Replayed:    applied,
 		TornTail:    torn,

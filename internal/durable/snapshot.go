@@ -4,62 +4,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+
+	"repro/internal/relation"
 )
-
-// colstore is the in-memory dictionary-encoded columnar mirror of a
-// dataset: per attribute, a dictionary of distinct values and a column of
-// codes. It is what the compactor serialises into a snapshot, kept
-// incrementally by Append so snapshotting never re-reads the WAL.
-type colstore struct {
-	names []string
-	dicts []map[string]uint32
-	vals  [][]string // code → value, per attribute
-	cols  [][]uint32 // cols[a][t] is row t's code on attribute a
-	rows  int
-}
-
-func newColstore(names []string) *colstore {
-	c := &colstore{
-		names: append([]string(nil), names...),
-		dicts: make([]map[string]uint32, len(names)),
-		vals:  make([][]string, len(names)),
-		cols:  make([][]uint32, len(names)),
-	}
-	for a := range names {
-		c.dicts[a] = make(map[string]uint32)
-	}
-	return c
-}
-
-func (c *colstore) appendRow(row []string) error {
-	if len(row) != len(c.names) {
-		return fmt.Errorf("durable: row arity %d, schema %d", len(row), len(c.names))
-	}
-	for a, v := range row {
-		code, ok := c.dicts[a][v]
-		if !ok {
-			code = uint32(len(c.vals[a]))
-			c.dicts[a][v] = code
-			c.vals[a] = append(c.vals[a], v)
-		}
-		c.cols[a] = append(c.cols[a], code)
-	}
-	c.rows++
-	return nil
-}
-
-// materialize decodes every row back to strings, in insertion order.
-func (c *colstore) materialize() [][]string {
-	rows := make([][]string, c.rows)
-	for t := 0; t < c.rows; t++ {
-		row := make([]string, len(c.names))
-		for a := range c.names {
-			row[a] = c.vals[a][c.cols[a][t]]
-		}
-		rows[t] = row
-	}
-	return rows
-}
 
 // snapshotMagic leads the snapshot file, before the standard frame, so a
 // WAL accidentally dropped in its place fails fast.
@@ -68,19 +15,19 @@ var snapshotMagic = []byte("DMSNAP1\n")
 // encodeSnapshot serialises the dataset's full state: label, schema,
 // per-attribute dictionaries, uvarint-packed code columns, the row count,
 // and the content fingerprint — all inside one checksummed frame.
-func encodeSnapshot(name string, c *colstore, fp string) []byte {
+func encodeSnapshot(name string, r *relation.Relation, fp string) []byte {
 	p := putString(nil, name)
-	p = putUvarint(p, uint64(len(c.names)))
-	for _, n := range c.names {
+	p = putUvarint(p, uint64(r.Arity()))
+	for _, n := range r.Names() {
 		p = putString(p, n)
 	}
-	p = putUvarint(p, uint64(c.rows))
-	for a := range c.names {
-		p = putUvarint(p, uint64(len(c.vals[a])))
-		for _, v := range c.vals[a] {
-			p = putString(p, v)
+	p = putUvarint(p, uint64(r.Rows()))
+	for a := 0; a < r.Arity(); a++ {
+		p = putUvarint(p, uint64(r.DomainSize(a)))
+		for code := 0; code < r.DomainSize(a); code++ {
+			p = putString(p, r.ValueForCode(a, code))
 		}
-		for _, code := range c.cols[a] {
+		for _, code := range r.Column(a) {
 			p = putUvarint(p, uint64(code))
 		}
 	}
@@ -89,11 +36,12 @@ func encodeSnapshot(name string, c *colstore, fp string) []byte {
 	return appendFrame(out, p)
 }
 
-// decodeSnapshot rebuilds the columnar state from a snapshot file's
+// decodeSnapshot rebuilds the column store from a snapshot file's
 // bytes. Any damage — bad magic, checksum mismatch, structural error, an
-// out-of-range code — returns an error; the caller quarantines, because
-// with the WAL already compacted away there is nothing to fall back on.
-func decodeSnapshot(data []byte) (name string, c *colstore, fp string, err error) {
+// out-of-range code, a duplicate dictionary value — returns an error;
+// the caller quarantines, because with the WAL already compacted away
+// there is nothing to fall back on.
+func decodeSnapshot(data []byte) (name string, c *relation.Columns, fp string, err error) {
 	if len(data) < len(snapshotMagic) || string(data[:len(snapshotMagic)]) != string(snapshotMagic) {
 		return "", nil, "", fmt.Errorf("bad snapshot magic")
 	}
@@ -120,40 +68,38 @@ func decodeSnapshot(data []byte) (name string, c *colstore, fp string, err error
 	for i := range names {
 		names[i] = r.string()
 	}
-	if r.err != nil {
-		return "", nil, "", r.err
-	}
-	c = newColstore(names)
 	rows := r.uvarint()
 	if rows > uint64(len(payload)) {
 		return "", nil, "", fmt.Errorf("implausible row count %d", rows)
 	}
-	c.rows = int(rows)
+	if r.err != nil {
+		return "", nil, "", r.err
+	}
+	dicts := make([][]string, nAttrs)
+	cols := make([][]int, nAttrs)
 	for a := range names {
 		dictSize := r.uvarint()
 		if dictSize > uint64(len(payload)) {
 			return "", nil, "", fmt.Errorf("implausible dictionary size %d", dictSize)
 		}
-		c.vals[a] = make([]string, dictSize)
-		for code := range c.vals[a] {
-			v := r.string()
-			c.vals[a][code] = v
-			c.dicts[a][v] = uint32(code)
+		dicts[a] = make([]string, dictSize)
+		for code := range dicts[a] {
+			dicts[a][code] = r.string()
 		}
-		if r.err == nil && len(c.vals[a]) != len(c.dicts[a]) {
-			return "", nil, "", fmt.Errorf("duplicate dictionary value on attribute %d", a)
+		cols[a] = make([]int, rows)
+		for t := range cols[a] {
+			cols[a][t] = int(r.uvarint())
 		}
-		c.cols[a] = make([]uint32, c.rows)
-		for t := 0; t < c.rows; t++ {
-			code := r.uvarint()
-			if r.err == nil && code >= dictSize {
-				return "", nil, "", fmt.Errorf("code %d out of dictionary range %d", code, dictSize)
-			}
-			c.cols[a][t] = uint32(code)
+		if r.err != nil {
+			return "", nil, "", r.err
 		}
 	}
 	fp = r.string()
 	if err := r.done(); err != nil {
+		return "", nil, "", err
+	}
+	c, err = relation.RestoreColumns(names, int(rows), dicts, cols)
+	if err != nil {
 		return "", nil, "", err
 	}
 	return name, c, fp, nil

@@ -10,25 +10,25 @@ import (
 	"strconv"
 	"sync"
 	"testing"
+
+	"repro/internal/relation"
 )
 
-func writeTestSnapshot(t *testing.T, rows int) (path string, c *colstore) {
+func writeTestSnapshot(t *testing.T, rows int) (path string, c *relation.Relation) {
 	t.Helper()
 	names := []string{"city", "zip", "state"}
-	c = newColstore(names)
-	for i := 0; i < rows; i++ {
-		row := []string{
+	data := make([][]string, rows)
+	for i := range data {
+		data[i] = []string{
 			"c" + strconv.Itoa(i%7),
 			strconv.Itoa(i % 13),
 			"s" + strconv.Itoa(i%3),
 		}
-		if err := c.appendRow(row); err != nil {
-			t.Fatal(err)
-		}
 	}
-	data := encodeSnapshot("places", c, "fp-test")
+	c = mustRelation(t, names, data)
+	snap := encodeSnapshot("places", c, "fp-test")
 	path = filepath.Join(t.TempDir(), "snapshot.snap")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	if err := os.WriteFile(path, snap, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return path, c
@@ -45,10 +45,10 @@ func TestSnapshotStreamMatchesDecode(t *testing.T) {
 	if sr.Name() != "places" || sr.Fingerprint() != "fp-test" {
 		t.Fatalf("metadata = %q/%q", sr.Name(), sr.Fingerprint())
 	}
-	if sr.Arity() != len(c.names) || sr.NumRows() != c.rows {
-		t.Fatalf("shape = %d×%d, want %d×%d", sr.Arity(), sr.NumRows(), len(c.names), c.rows)
+	if sr.Arity() != c.Arity() || sr.NumRows() != c.Rows() {
+		t.Fatalf("shape = %d×%d, want %d×%d", sr.Arity(), sr.NumRows(), c.Arity(), c.Rows())
 	}
-	for a, name := range c.names {
+	for a, name := range c.Names() {
 		if sr.Names()[a] != name {
 			t.Fatalf("name[%d] = %q, want %q", a, sr.Names()[a], name)
 		}
@@ -56,12 +56,12 @@ func TestSnapshotStreamMatchesDecode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if dom != len(c.vals[a]) {
-			t.Fatalf("column %d domain = %d, want %d", a, dom, len(c.vals[a]))
+		if dom != c.DomainSize(a) {
+			t.Fatalf("column %d domain = %d, want %d", a, dom, c.DomainSize(a))
 		}
 		for tt, code := range codes {
-			if uint32(code) != c.cols[a][tt] {
-				t.Fatalf("column %d row %d code = %d, want %d", a, tt, code, c.cols[a][tt])
+			if code != c.Code(tt, a) {
+				t.Fatalf("column %d row %d code = %d, want %d", a, tt, code, c.Code(tt, a))
 			}
 		}
 		dict, err := sr.Dict(a)
@@ -69,8 +69,8 @@ func TestSnapshotStreamMatchesDecode(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, v := range dict {
-			if v != c.vals[a][i] {
-				t.Fatalf("dict %d[%d] = %q, want %q", a, i, v, c.vals[a][i])
+			if v != c.ValueForCode(a, i) {
+				t.Fatalf("dict %d[%d] = %q, want %q", a, i, v, c.ValueForCode(a, i))
 			}
 		}
 	}
@@ -95,7 +95,7 @@ func TestSnapshotStreamConcurrentColumns(t *testing.T) {
 					return
 				}
 				for tt, code := range codes {
-					if uint32(code) != c.cols[a][tt] {
+					if code != c.Code(tt, a) {
 						t.Errorf("column %d row %d mismatch", a, tt)
 						return
 					}
@@ -139,8 +139,7 @@ func TestSnapshotStreamRejectsDamage(t *testing.T) {
 // TestSnapshotStreamEmptyDataset covers the zero-row edge: schema without
 // tuples streams back as cleanly as it decodes.
 func TestSnapshotStreamEmptyDataset(t *testing.T) {
-	c := newColstore([]string{"a", "b"})
-	data := encodeSnapshot("empty", c, "fp")
+	data := encodeSnapshot("empty", mustRelation(t, []string{"a", "b"}, nil), "fp")
 	path := filepath.Join(t.TempDir(), "snapshot.snap")
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
@@ -162,17 +161,15 @@ func TestSnapshotStreamEmptyDataset(t *testing.T) {
 // TestSnapshotStreamLargeStrings exercises chunk-boundary spanning: values
 // longer than the scanner's buffer must still parse and verify.
 func TestSnapshotStreamLargeStrings(t *testing.T) {
-	c := newColstore([]string{"blob"})
 	big := make([]byte, 90_000) // larger than the 64 KiB scanner chunk
 	for i := range big {
 		big[i] = byte('a' + i%26)
 	}
+	var rows [][]string
 	for i := 0; i < 3; i++ {
-		if err := c.appendRow([]string{string(big) + fmt.Sprint(i)}); err != nil {
-			t.Fatal(err)
-		}
+		rows = append(rows, []string{string(big) + fmt.Sprint(i)})
 	}
-	data := encodeSnapshot("blobs", c, "fp")
+	data := encodeSnapshot("blobs", mustRelation(t, []string{"blob"}, rows), "fp")
 	path := filepath.Join(t.TempDir(), "snapshot.snap")
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"repro/internal/faultinject"
+	"repro/internal/relation"
 )
 
 // Options configures a Store. Zero values get production-safe defaults,
@@ -64,10 +65,12 @@ type Store struct {
 // RecoveredDataset is one dataset rebuilt from disk, handed to the
 // serving layer to re-register.
 type RecoveredDataset struct {
-	ID          string
-	Name        string
-	Names       []string
-	Rows        [][]string
+	ID   string
+	Name string
+	// Relation is an immutable view of the recovered rows: the store's
+	// own columns, which the serving layer can grow without re-encoding
+	// (relation.ColumnsOf).
+	Relation    *relation.Relation
 	Fingerprint string
 	// Replayed counts WAL records applied on top of the snapshot.
 	Replayed int
@@ -210,13 +213,14 @@ func (s *Store) Create(id, name string, names []string, rows [][]string, fp stri
 		return nil, fmt.Errorf("durable: registering %s: %w", id, err)
 	}
 
-	cols := newColstore(names)
-	for _, row := range rows {
-		if cerr := cols.appendRow(row); cerr != nil {
-			wal.Close()
-			os.RemoveAll(dir)
-			return nil, cerr
-		}
+	cols, err := relation.NewColumns(names)
+	for i := 0; err == nil && i < len(rows); i++ {
+		err = cols.Append(rows[i])
+	}
+	if err != nil {
+		wal.Close()
+		os.RemoveAll(dir)
+		return nil, fmt.Errorf("durable: registering %s: %w", id, err)
 	}
 	d := &Dataset{
 		id:      id,
@@ -225,7 +229,6 @@ func (s *Store) Create(id, name string, names []string, rows [][]string, fp stri
 		wal:     wal,
 		cols:    cols,
 		name:    name,
-		rows:    len(rows),
 		fp:      fp,
 		walSize: int64(len(frame)),
 	}

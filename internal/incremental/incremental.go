@@ -33,20 +33,16 @@ import (
 
 // Miner maintains discovery state for a growing relation.
 type Miner struct {
-	names []string
-	// dicts[a] maps attribute a's string values to dense codes.
-	dicts []map[string]int
+	// store holds the tuples, dictionary-encoded; Snapshot is its view.
+	store *relation.Columns
 	// buckets[a][code] lists tuple ids holding that code.
 	buckets [][][]int
-	// cols[a][t] is tuple t's code on attribute a.
-	cols [][]int
 	// agree is the maintained ag(r) (excluding ∅, tracked separately).
 	agree map[attrset.Set]struct{}
 	// nonEmptyCouples counts couples with a non-empty agree set; when it
 	// lags behind C(rows,2), some couple disagrees everywhere and
 	// ∅ ∈ ag(r).
 	nonEmptyCouples int
-	rows            int
 	// stamp dedups candidate tuples per insert.
 	stamp   []int
 	stampID int
@@ -54,20 +50,11 @@ type Miner struct {
 
 // New creates an empty miner for the given schema.
 func New(names []string) (*Miner, error) {
-	if !attrset.Valid(len(names)) {
-		return nil, fmt.Errorf("incremental: schema exceeds %d attributes", attrset.MaxAttrs)
+	store, err := relation.NewColumns(names)
+	if err != nil {
+		return nil, fmt.Errorf("incremental: %w", err)
 	}
-	m := &Miner{
-		names:   append([]string(nil), names...),
-		dicts:   make([]map[string]int, len(names)),
-		buckets: make([][][]int, len(names)),
-		cols:    make([][]int, len(names)),
-		agree:   make(map[attrset.Set]struct{}),
-	}
-	for a := range names {
-		m.dicts[a] = make(map[string]int)
-	}
-	return m, nil
+	return fromColumns(context.Background(), store)
 }
 
 // FromRelation builds a miner pre-loaded with a relation's tuples.
@@ -77,28 +64,46 @@ func FromRelation(r *relation.Relation) (*Miner, error) {
 
 // FromRelationCtx is FromRelation under a context: loading aborts
 // mid-relation (and mid-scan within a tuple) when ctx is cancelled,
-// returning an error wrapping guard.ErrDeadline.
+// returning an error wrapping guard.ErrDeadline. The miner grows r's
+// own columns (relation.ColumnsOf) instead of re-encoding its values.
 func FromRelationCtx(ctx context.Context, r *relation.Relation) (*Miner, error) {
-	m, err := New(r.Names())
+	store, err := relation.ColumnsOf(r)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("incremental: %w", err)
 	}
-	for t := 0; t < r.Rows(); t++ {
-		if err := m.InsertCtx(ctx, r.Row(t)); err != nil {
+	return fromColumns(ctx, store)
+}
+
+// fromColumns builds a miner over store, folding each tuple it already
+// holds into the buckets and ag(r) exactly as an insert would.
+func fromColumns(ctx context.Context, store *relation.Columns) (*Miner, error) {
+	m := &Miner{
+		store:   store,
+		buckets: make([][][]int, len(store.Names())),
+		agree:   make(map[attrset.Set]struct{}),
+	}
+	codes := make([]int, len(store.Names()))
+	for t := 0; t < store.Rows(); t++ {
+		for a := range codes {
+			codes[a] = store.Code(t, a)
+		}
+		staged, err := m.scan(ctx, t, codes)
+		if err != nil {
 			return nil, err
 		}
+		m.commit(t, codes, staged)
 	}
 	return m, nil
 }
 
 // Rows returns the number of inserted tuples.
-func (m *Miner) Rows() int { return m.rows }
+func (m *Miner) Rows() int { return m.store.Rows() }
 
 // Arity returns |R|.
-func (m *Miner) Arity() int { return len(m.names) }
+func (m *Miner) Arity() int { return len(m.store.Names()) }
 
 // Names returns the schema's attribute names.
-func (m *Miner) Names() []string { return m.names }
+func (m *Miner) Names() []string { return m.store.Names() }
 
 // Insert adds one tuple and updates ag(r).
 func (m *Miner) Insert(row []string) error {
@@ -115,20 +120,35 @@ const insertCheckStride = 256
 // mid-scan: the candidate sweep checks ctx every insertCheckStride
 // couples and aborts with an error wrapping the typed guard.ErrDeadline
 // (not a bare ctx error), so governed callers classify the outcome with
-// one errors.Is test. An aborted insert leaves the miner's tuple state
-// unchanged — agree sets are staged and committed only after the scan
-// completes — so the session stays consistent and the insert can be
-// retried.
+// one errors.Is test. An aborted insert leaves the miner unchanged —
+// the row's codes, including any new dictionary values, and its agree
+// sets are staged and committed only after the scan completes — so the
+// session stays consistent and the insert can be retried.
 func (m *Miner) InsertCtx(ctx context.Context, row []string) error {
-	if len(row) != len(m.names) {
-		return fmt.Errorf("incremental: row arity %d, schema %d", len(row), len(m.names))
+	codes, err := m.store.Encode(row)
+	if err != nil {
+		return fmt.Errorf("incremental: %w", err)
 	}
 	if err := insertCtxErr(ctx); err != nil {
 		return err
 	}
-	t := m.rows
-	// Encode and collect candidate partners: tuples sharing ≥ 1 value.
-	codes := make([]int, len(row))
+	t := m.store.Rows()
+	staged, err := m.scan(ctx, t, codes)
+	if err != nil {
+		return err
+	}
+	if err := m.store.Append(row); err != nil {
+		return fmt.Errorf("incremental: %w", err)
+	}
+	m.commit(t, codes, staged)
+	return nil
+}
+
+// scan computes the agree sets of tuple t, whose codes are given, with
+// every earlier tuple sharing at least one value with it — the couples
+// Lemma 1 would generate for t. It reads the miner and changes nothing
+// but the candidate stamps, so an abort commits nothing.
+func (m *Miner) scan(ctx context.Context, t int, codes []int) ([]attrset.Set, error) {
 	m.stampID++
 	if len(m.stamp) < t {
 		grown := make([]int, t*2+8)
@@ -136,14 +156,10 @@ func (m *Miner) InsertCtx(ctx context.Context, row []string) error {
 		m.stamp = grown
 	}
 	var candidates []int
-	for a, v := range row {
-		code, ok := m.dicts[a][v]
-		if !ok {
-			code = len(m.buckets[a])
-			m.dicts[a][v] = code
-			m.buckets[a] = append(m.buckets[a], nil)
+	for a, code := range codes {
+		if code >= len(m.buckets[a]) {
+			continue // a value no earlier tuple holds
 		}
-		codes[a] = code
 		for _, u := range m.buckets[a][code] {
 			if m.stamp[u] != m.stampID {
 				m.stamp[u] = m.stampID
@@ -151,40 +167,44 @@ func (m *Miner) InsertCtx(ctx context.Context, row []string) error {
 			}
 		}
 	}
-	// Agree sets of the new couples, staged so an abort commits nothing.
 	staged := make([]attrset.Set, 0, len(candidates))
 	for i, u := range candidates {
 		if i%insertCheckStride == 0 {
 			if err := insertCtxErr(ctx); err != nil {
-				return err
+				return nil, err
 			}
 			if err := faultinject.Fire(faultinject.IncrementalInsert); err != nil {
-				return err
+				return nil, err
 			}
 		}
 		var s attrset.Set
-		for a := range codes {
-			if m.cols[a][u] == codes[a] {
+		for a, code := range codes {
+			if m.store.Code(u, a) == code {
 				s.Add(a)
 			}
 		}
 		staged = append(staged, s)
 	}
-	// Last abort point before the commit below becomes visible.
+	// Last abort point before the caller commits.
 	if err := faultinject.Fire(faultinject.IncrementalInsert); err != nil {
-		return err
+		return nil, err
 	}
-	// Commit: agree sets first, then the tuple itself.
+	return staged, nil
+}
+
+// commit folds tuple t's staged agree sets into ag(r) and t into the
+// value buckets.
+func (m *Miner) commit(t int, codes []int, staged []attrset.Set) {
 	for _, s := range staged {
 		m.agree[s] = struct{}{}
 	}
 	m.nonEmptyCouples += len(staged)
 	for a, code := range codes {
+		for code >= len(m.buckets[a]) {
+			m.buckets[a] = append(m.buckets[a], nil)
+		}
 		m.buckets[a][code] = append(m.buckets[a][code], t)
-		m.cols[a] = append(m.cols[a], code)
 	}
-	m.rows++
-	return nil
 }
 
 // insertCtxErr translates a cancelled or expired context into the typed
@@ -211,13 +231,14 @@ func (m *Miner) AgreeSets() attrset.Family {
 }
 
 func (m *Miner) emptyCouplePresent() bool {
-	return m.nonEmptyCouples < m.rows*(m.rows-1)/2
+	rows := m.store.Rows()
+	return m.nonEmptyCouples < rows*(rows-1)/2
 }
 
 // Cover derives the current canonical cover of minimal non-trivial FDs
 // (steps 2–4 of the Dep-Miner pipeline over the maintained agree sets).
 func (m *Miner) Cover(ctx context.Context) (fd.Cover, error) {
-	res, err := core.DeriveFromAgreeSets(ctx, m.AgreeSets(), len(m.names))
+	res, err := core.DeriveFromAgreeSets(ctx, m.AgreeSets(), m.Arity())
 	if err != nil {
 		return nil, err
 	}
@@ -227,31 +248,17 @@ func (m *Miner) Cover(ctx context.Context) (fd.Cover, error) {
 // MaxSets derives MAX(dep(r)) for the current state (for Armstrong
 // construction).
 func (m *Miner) MaxSets(ctx context.Context) (attrset.Family, error) {
-	res, err := core.DeriveFromAgreeSets(ctx, m.AgreeSets(), len(m.names))
+	res, err := core.DeriveFromAgreeSets(ctx, m.AgreeSets(), m.Arity())
 	if err != nil {
 		return nil, err
 	}
 	return res.MaxSets, nil
 }
 
-// Snapshot materialises the current tuples as a Relation (e.g. to build a
-// real-world Armstrong relation with values from the data).
-func (m *Miner) Snapshot() (*relation.Relation, error) {
-	rows := make([][]string, m.rows)
-	// Reverse dictionaries once.
-	rev := make([][]string, len(m.names))
-	for a := range m.names {
-		rev[a] = make([]string, len(m.dicts[a]))
-		for v, code := range m.dicts[a] {
-			rev[a][code] = v
-		}
-	}
-	for t := 0; t < m.rows; t++ {
-		row := make([]string, len(m.names))
-		for a := range m.names {
-			row[a] = rev[a][m.cols[a][t]]
-		}
-		rows[t] = row
-	}
-	return relation.FromRows(m.names, rows)
+// Snapshot returns the current tuples as a Relation (e.g. to build a
+// real-world Armstrong relation with values from the data). It is an
+// O(|R|) view of the miner's own columns, not a copy: later inserts
+// never change it.
+func (m *Miner) Snapshot() *relation.Relation {
+	return m.store.Relation()
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -131,10 +132,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := m.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := m.Snapshot()
 	if snap.Rows() != r.Rows() || snap.Arity() != r.Arity() {
 		t.Fatal("snapshot shape mismatch")
 	}
@@ -311,6 +309,56 @@ func TestFromRelationCtxCancelled(t *testing.T) {
 	cancel()
 	if _, err := FromRelationCtx(ctx, relation.PaperExample()); !errors.Is(err, guard.ErrDeadline) {
 		t.Fatalf("FromRelationCtx under cancelled ctx: err = %v, want guard.ErrDeadline", err)
+	}
+}
+
+// TestAbortedInsertLeavesNoPhantomValues pins the staged dictionary
+// contract: an insert aborted mid-scan, carrying values no tuple holds
+// yet, must not commit them. The miner's columns are the relation its
+// Snapshot serves, so a phantom dictionary entry would inflate
+// DomainSize — the Proposition 1 existence check — and a real-world
+// Armstrong relation could print a value that appears in no row.
+func TestAbortedInsertLeavesNoPhantomValues(t *testing.T) {
+	defer faultinject.Reset()
+	m, err := FromRelation(relation.PaperExample())
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := m.Snapshot()
+	// Shares a value with tuple 0, so the scan has a candidate, and
+	// brings fresh values on the other attributes.
+	row := before.Row(0)
+	for a := 1; a < len(row); a++ {
+		row[a] = "fresh-" + strconv.Itoa(a)
+	}
+	errBoom := errors.New("injected insert fault")
+	faultinject.Set(faultinject.IncrementalInsert, faultinject.FailWith(errBoom))
+	if err := m.InsertCtx(context.Background(), row); !errors.Is(err, errBoom) {
+		t.Fatalf("InsertCtx under fault = %v, want the injected error", err)
+	}
+	faultinject.Reset()
+
+	after := m.Snapshot()
+	if after.Rows() != before.Rows() || after.Arity() != before.Arity() {
+		t.Fatalf("aborted insert changed the shape: %dx%d → %dx%d",
+			before.Rows(), before.Arity(), after.Rows(), after.Arity())
+	}
+	for a := 0; a < before.Arity(); a++ {
+		if after.DomainSize(a) != before.DomainSize(a) {
+			t.Errorf("DomainSize(%d) = %d after the aborted insert, want %d", a, after.DomainSize(a), before.DomainSize(a))
+		}
+	}
+	for tt := 0; tt < before.Rows(); tt++ {
+		if got, want := after.Row(tt), before.Row(tt); !slices.Equal(got, want) {
+			t.Errorf("Row(%d) = %v after the aborted insert, want %v", tt, got, want)
+		}
+	}
+	// The retried insert then commits the new values exactly once.
+	if err := m.Insert(row); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Snapshot().DomainSize(1); got != before.DomainSize(1)+1 {
+		t.Errorf("DomainSize(1) after the retry = %d, want %d", got, before.DomainSize(1)+1)
 	}
 }
 

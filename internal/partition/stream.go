@@ -1,18 +1,13 @@
 package partition
 
 import (
-	"encoding/csv"
-	"errors"
-	"fmt"
 	"io"
-	"strconv"
 
-	"repro/internal/attrset"
+	"repro/internal/relation"
 )
 
-// StreamResult is a stripped partition database extracted directly from a
-// CSV stream, plus the schema metadata discovery needs. No cell values
-// are retained beyond per-column dictionaries — this is the paper's
+// StreamResult is a stripped partition database extracted from a CSV
+// stream, plus the schema metadata discovery needs. This is the paper's
 // "database accesses are only performed during the computation of agree
 // sets" reading made literal: one pass over the data, then the relation
 // is never touched again (real-world Armstrong relations, which need
@@ -27,86 +22,19 @@ type StreamResult struct {
 	DomainSizes []int
 }
 
-// Stream reads a CSV relation and builds its stripped partition database
-// in one pass, holding per-column dictionaries and tuple-id buckets but
-// never whole rows. If header is true the first record names the
+// Stream reads a CSV relation in one pass and builds its stripped
+// partition database. The rows are encoded into the dictionary-coded
+// column store as they are read (relation.Load), so no record outlives
+// its own read. If header is true the first record names the
 // attributes.
 func Stream(r io.Reader, header bool) (*StreamResult, error) {
-	cr := csv.NewReader(r)
-	cr.ReuseRecord = true
-	cr.FieldsPerRecord = -1
-
-	var names []string
-	var dicts []map[string]int
-	var buckets [][][]int
-	rows := 0
-	first := true
-
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("partition: streaming csv: %w", err)
-		}
-		if first {
-			first = false
-			if !attrset.Valid(len(rec)) {
-				return nil, fmt.Errorf("partition: schema exceeds %d attributes", attrset.MaxAttrs)
-			}
-			names = make([]string, len(rec))
-			if header {
-				copy(names, rec)
-			} else {
-				for i := range rec {
-					names[i] = "col" + strconv.Itoa(i)
-				}
-			}
-			dicts = make([]map[string]int, len(names))
-			buckets = make([][][]int, len(names))
-			for a := range names {
-				dicts[a] = make(map[string]int)
-			}
-			if header {
-				continue
-			}
-		}
-		if len(rec) != len(names) {
-			return nil, fmt.Errorf("partition: row %d has %d fields, schema has %d",
-				rows, len(rec), len(names))
-		}
-		for a, v := range rec {
-			code, ok := dicts[a][v]
-			if !ok {
-				code = len(buckets[a])
-				dicts[a][v] = code
-				buckets[a] = append(buckets[a], nil)
-			}
-			buckets[a][code] = append(buckets[a][code], rows)
-		}
-		rows++
+	rel, err := relation.Load(r, header)
+	if err != nil {
+		return nil, err
 	}
-	if names == nil {
-		return nil, errors.New("partition: empty input")
-	}
-
-	res := &StreamResult{
-		DB:          &Database{Attr: make([]*Partition, len(names)), NumRows: rows},
-		Names:       names,
-		DomainSizes: make([]int, len(names)),
-	}
-	for a := range names {
-		res.DomainSizes[a] = len(buckets[a])
-		// Codes are assigned in first-occurrence order, so buckets are
-		// already sorted by smallest tuple index — canonical class order.
-		p := &Partition{NumRows: rows}
-		for _, b := range buckets[a] {
-			if len(b) > 1 {
-				p.appendClass(b)
-			}
-		}
-		res.DB.Attr[a] = p
+	res := &StreamResult{DB: NewDatabase(rel), Names: rel.Names(), DomainSizes: make([]int, rel.Arity())}
+	for a := range res.DomainSizes {
+		res.DomainSizes[a] = rel.DomainSize(a)
 	}
 	return res, nil
 }

@@ -1,11 +1,12 @@
 // Package relation provides the in-memory relation substrate on which FD
 // discovery operates.
 //
-// A Relation is a dictionary-encoded column store: each column maps the
-// original string values to dense integer codes, and stores one code per
-// tuple. Two tuples agree on attribute A exactly when their codes for A are
-// equal, so every downstream algorithm (partitions, agree sets, TANE) works
-// purely on integers.
+// A Relation is an immutable view of a dictionary-encoded column store
+// (Columns): each column maps the original string values to dense
+// integer codes, and stores one code per tuple. Two tuples agree on
+// attribute A exactly when their codes for A are equal, so every
+// downstream algorithm (partitions, agree sets, TANE) works purely on
+// integers.
 //
 // The paper reads relations over ODBC from Oracle/MS Access; this package
 // substitutes CSV files plus an in-memory store (see DESIGN.md §6). Like
@@ -54,36 +55,16 @@ type Relation struct {
 
 // FromRows builds a relation from attribute names and string rows.
 func FromRows(names []string, rows [][]string) (*Relation, error) {
-	if !attrset.Valid(len(names)) {
-		return nil, ErrTooManyAttributes
+	c, err := NewColumns(names)
+	if err != nil {
+		return nil, err
 	}
-	r := &Relation{
-		names: append([]string(nil), names...),
-		cols:  make([][]int, len(names)),
-		dicts: make([][]string, len(names)),
-		rows:  len(rows),
-	}
-	codes := make([]map[string]int, len(names))
-	for a := range names {
-		r.cols[a] = make([]int, len(rows))
-		codes[a] = make(map[string]int)
-	}
-	for t, row := range rows {
-		if len(row) != len(names) {
-			return nil, fmt.Errorf("%w: row %d has %d fields, schema has %d",
-				ErrRaggedRow, t, len(row), len(names))
-		}
-		for a, v := range row {
-			code, ok := codes[a][v]
-			if !ok {
-				code = len(r.dicts[a])
-				codes[a][v] = code
-				r.dicts[a] = append(r.dicts[a], v)
-			}
-			r.cols[a][t] = code
+	for _, row := range rows {
+		if err := c.Append(row); err != nil {
+			return nil, err
 		}
 	}
-	return r, nil
+	return c.Relation(), nil
 }
 
 // FromCodes builds a relation directly from integer-coded columns,
@@ -129,14 +110,14 @@ func FromCodes(names []string, cols [][]int) (*Relation, error) {
 	return r, nil
 }
 
-// Load reads a CSV relation from rd. If header is true the first record
-// names the attributes; otherwise attributes are named col0, col1, ....
+// Load reads a CSV relation from rd, encoding each record into a column
+// store as it is read. If header is true the first record names the
+// attributes; otherwise attributes are named col0, col1, ....
 func Load(rd io.Reader, header bool) (*Relation, error) {
 	cr := csv.NewReader(rd)
 	cr.FieldsPerRecord = -1 // we validate arity ourselves for better errors
-	var names []string
-	var rows [][]string
-	first := true
+	cr.ReuseRecord = true
+	var c *Columns
 	for {
 		rec, err := cr.Read()
 		if err == io.EOF {
@@ -145,23 +126,29 @@ func Load(rd io.Reader, header bool) (*Relation, error) {
 		if err != nil {
 			return nil, fmt.Errorf("relation: reading csv: %w", err)
 		}
-		if first {
-			first = false
+		if c == nil {
+			names := rec
+			if !header {
+				names = make([]string, len(rec))
+				for i := range rec {
+					names[i] = "col" + strconv.Itoa(i)
+				}
+			}
+			if c, err = NewColumns(names); err != nil {
+				return nil, err
+			}
 			if header {
-				names = append([]string(nil), rec...)
 				continue
 			}
-			names = make([]string, len(rec))
-			for i := range rec {
-				names[i] = "col" + strconv.Itoa(i)
-			}
 		}
-		rows = append(rows, rec)
+		if err := c.Append(rec); err != nil {
+			return nil, err
+		}
 	}
-	if names == nil {
+	if c == nil {
 		return nil, errors.New("relation: empty input")
 	}
-	return FromRows(names, rows)
+	return c.Relation(), nil
 }
 
 // LoadFile reads a CSV relation from the named file.

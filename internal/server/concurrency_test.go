@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"strings"
@@ -10,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/datagen"
+	"repro/internal/durable"
 	"repro/internal/relation"
 )
 
@@ -141,13 +144,21 @@ func TestDiscoverHammer(t *testing.T) {
 }
 
 // TestConcurrentAppendsAndDiscoveries interleaves writers (appends) and
-// readers (discoveries) on one dataset under -race: the server must stay
-// consistent and every successful discovery must return a cover that is
-// correct for SOME committed prefix (verified by fingerprints moving
-// monotonically and no 5xx).
+// readers (discoveries) on one dataset under -race. The readers rotate
+// through every algorithm that reads the relation, Armstrong included,
+// so each discovery races appends into the very columns it reads. Every
+// 200 must be exactly right for the prefix it reports: its cover equals
+// a library run on the first resp.Rows rows of a client-side replica,
+// and its fingerprint is those rows' content fingerprint.
 func TestConcurrentAppendsAndDiscoveries(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxJobs: 4})
-	reg := register(t, ts, relation.PaperExample())
+	base := relation.PaperExample()
+	reg := register(t, ts, base)
+	// The replica: the base rows, then row(1), row(2), ... in the order
+	// the single writer appends them.
+	row := func(i int) []string {
+		return []string{fmt.Sprintf("e%d", i), fmt.Sprintf("d%d", i%3), fmt.Sprint(1990 + i%10), fmt.Sprintf("Dept%d", i%3), fmt.Sprintf("m%d", i%4)}
+	}
 
 	var wg sync.WaitGroup
 	stop := time.Now().Add(300 * time.Millisecond)
@@ -157,8 +168,7 @@ func TestConcurrentAppendsAndDiscoveries(t *testing.T) {
 		i := 0
 		for time.Now().Before(stop) {
 			i++
-			row := fmt.Sprintf("e%d,d%d,%d,Dept%d,m%d\n", i, i%3, 1990+i%10, i%3, i%4)
-			resp, err := http.Post(ts.URL+"/v1/datasets/"+reg.ID+"/rows", "text/csv", strings.NewReader(row))
+			resp, err := http.Post(ts.URL+"/v1/datasets/"+reg.ID+"/rows", "text/csv", strings.NewReader(strings.Join(row(i), ",")+"\n"))
 			if err != nil {
 				t.Error(err)
 				return
@@ -170,24 +180,77 @@ func TestConcurrentAppendsAndDiscoveries(t *testing.T) {
 			}
 		}
 	}()
+	requests := []DiscoverRequest{
+		{Dataset: reg.ID, Algorithm: "depminer"},
+		{Dataset: reg.ID, Algorithm: "depminer2"},
+		{Dataset: reg.ID, Algorithm: "tane"},
+		{Dataset: reg.ID, Algorithm: "fastfds"},
+		{Dataset: reg.ID, Algorithm: "depminer", Armstrong: true},
+	}
+	var mu sync.Mutex
+	var served []DiscoverResponse
 	for c := 0; c < 3; c++ {
 		wg.Add(1)
-		go func() {
+		go func(c int) {
 			defer wg.Done()
-			for time.Now().Before(stop) {
-				body := fmt.Sprintf(`{"dataset":%q,"algorithm":"incremental"}`, reg.ID)
-				resp, err := http.Post(ts.URL+"/v1/discover", "application/json", strings.NewReader(body))
+			for k := c; time.Now().Before(stop); k++ {
+				req := requests[k%len(requests)]
+				body, _ := json.Marshal(req)
+				hr, err := http.Post(ts.URL+"/v1/discover", "application/json", bytes.NewReader(body))
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusTooManyRequests {
-					t.Errorf("discover status = %d", resp.StatusCode)
+				var resp DiscoverResponse
+				err = json.NewDecoder(hr.Body).Decode(&resp)
+				hr.Body.Close()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				switch hr.StatusCode {
+				case http.StatusOK:
+					if req.Armstrong && len(resp.Armstrong) == 0 {
+						t.Errorf("armstrong discovery at %d rows returned no relation", resp.Rows)
+					}
+					mu.Lock()
+					served = append(served, resp)
+					mu.Unlock()
+				case http.StatusTooManyRequests:
+				default:
+					t.Errorf("discover %s status = %d", req.Algorithm, hr.StatusCode)
 					return
 				}
 			}
-		}()
+		}(c)
 	}
 	wg.Wait()
+
+	if len(served) == 0 {
+		t.Fatal("no discovery succeeded")
+	}
+	t.Logf("%d discoveries checked against the replica", len(served))
+	rows := make([][]string, base.Rows())
+	for tt := range rows {
+		rows[tt] = base.Row(tt)
+	}
+	prefix := func(n int) *relation.Relation {
+		for i := len(rows) - base.Rows() + 1; len(rows) < n; i++ {
+			rows = append(rows, row(i))
+		}
+		r, err := relation.FromRows(base.Names(), rows[:n])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	for _, resp := range served {
+		want := prefix(resp.Rows)
+		if !sameCover(resp.FDs, fromScratchCover(t, want)) {
+			t.Fatalf("%s at %d rows: cover differs from the library's on the replica prefix", resp.Algorithm, resp.Rows)
+		}
+		if fp := durable.FingerprintOf(want).Sum(); resp.Fingerprint != fp {
+			t.Fatalf("%s at %d rows: fingerprint %s, want %s", resp.Algorithm, resp.Rows, resp.Fingerprint, fp)
+		}
+	}
 }

@@ -113,7 +113,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 			return s.store.Create(id, name, rel.Names(), rows, fp)
 		}
 	}
-	d, created, err := s.reg.register(name, rel, m, time.Now(), create)
+	d, created, err := s.reg.register(name, m, time.Now(), create)
 	if err != nil {
 		code := http.StatusInternalServerError
 		switch {
@@ -319,7 +319,6 @@ func (s *Server) logOutcome(ctx context.Context, resp *DiscoverResponse, err err
 		log.Info("discovery done",
 			slog.Int("fds", len(resp.FDs)),
 			slog.Int("shards", resp.Shards),
-			slog.Bool("streamed", resp.SnapshotStreamed),
 			slog.Float64("elapsed_ms", resp.ElapsedMS))
 	}
 }

@@ -24,13 +24,12 @@ const metricPrefix = "depminerd"
 func (s *Server) statsSnapshot() StatsResponse {
 	s.stats.mu.Lock()
 	disc := DiscoveryStats{
-		Total:           s.stats.total,
-		Partial:         s.stats.partial,
-		Failed:          s.stats.failed,
-		Sync:            s.stats.sync,
-		Async:           s.stats.async,
-		SnapshotStreams: s.stats.snapshotStreams,
-		PhaseTotalMS:    make(map[string]float64, len(s.stats.phases)),
+		Total:        s.stats.total,
+		Partial:      s.stats.partial,
+		Failed:       s.stats.failed,
+		Sync:         s.stats.sync,
+		Async:        s.stats.async,
+		PhaseTotalMS: make(map[string]float64, len(s.stats.phases)),
 	}
 	for name, d := range s.stats.phases {
 		disc.PhaseTotalMS[name] = float64(d) / float64(time.Millisecond)
@@ -136,7 +135,6 @@ func (s *Server) registerStatsMetrics(reg *obs.Registry) {
 		{p + "_discoveries_failed_total", "Discoveries that failed outright.", false},
 		{p + "_discoveries_sync_total", "Discoveries served synchronously.", false},
 		{p + "_discoveries_async_total", "Discoveries served as async jobs.", false},
-		{p + "_snapshot_streams_total", "Discoveries fed by streaming a durable snapshot.", false},
 		{p + "_phase_seconds_total", "Cumulative discovery pipeline time by phase.", false},
 
 		{p + "_pstore_hits_total", "Partition-store hits (tane).", false},
@@ -216,7 +214,6 @@ func (s *Server) registerStatsMetrics(reg *obs.Registry) {
 		e(p+"_discoveries_failed_total", float64(st.Discoveries.Failed))
 		e(p+"_discoveries_sync_total", float64(st.Discoveries.Sync))
 		e(p+"_discoveries_async_total", float64(st.Discoveries.Async))
-		e(p+"_snapshot_streams_total", float64(st.Discoveries.SnapshotStreams))
 		for phase, ms := range st.Discoveries.PhaseTotalMS {
 			emit(p+"_phase_seconds_total", []obs.Label{{Name: "phase", Value: phase}}, ms/1000)
 		}

@@ -31,11 +31,8 @@ type dataset struct {
 	miner  *incremental.Miner
 	hasher *durable.Fingerprint
 	fp     string
-	// version counts committed appends; the cached snapshot is keyed on
-	// it so discoveries re-materialise the relation only after growth.
-	version     int
-	snap        *relation.Relation
-	snapVersion int
+	// version counts committed appends.
+	version int
 
 	// dur is the dataset's durable handle; nil when the server runs
 	// memory-only (no -data-dir). brokenErr is the sticky durability
@@ -49,6 +46,11 @@ type dataset struct {
 func (d *dataset) info() DatasetInfo {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	return d.infoLocked()
+}
+
+// infoLocked builds the wire description; d.mu must be held.
+func (d *dataset) infoLocked() DatasetInfo {
 	return DatasetInfo{
 		ID:          d.id,
 		Name:        d.name,
@@ -68,21 +70,13 @@ func (d *dataset) fingerprint() string {
 	return d.fp
 }
 
-// snapshot returns the materialised relation and the fingerprint it
-// corresponds to, rebuilding only when appends happened since the last
-// call.
-func (d *dataset) snapshot() (*relation.Relation, string, error) {
+// snapshot returns the dataset's relation and the fingerprint it
+// corresponds to: an O(|R|) view of the miner's own columns, taken under
+// the lock so the pair is consistent. Later appends never change it.
+func (d *dataset) snapshot() (*relation.Relation, string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.snap == nil || d.snapVersion != d.version {
-		r, err := d.miner.Snapshot()
-		if err != nil {
-			return nil, "", err
-		}
-		d.snap = r
-		d.snapVersion = d.version
-	}
-	return d.snap, d.fp, nil
+	return d.miner.Snapshot(), d.fp
 }
 
 // errDurability marks appends (or registrations) refused because the
@@ -155,17 +149,7 @@ func (d *dataset) deriveCover(ctx context.Context) (fd.Cover, DatasetInfo, error
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	cover, err := d.miner.Cover(ctx)
-	info := DatasetInfo{
-		ID:          d.id,
-		Name:        d.name,
-		Fingerprint: d.fp,
-		Rows:        d.miner.Rows(),
-		Attributes:  d.miner.Arity(),
-		Names:       append([]string(nil), d.miner.Names()...),
-		Version:     d.version,
-		Created:     d.created,
-	}
-	return cover, info, err
+	return cover, d.infoLocked(), err
 }
 
 // registry is the server's dataset store.
@@ -191,16 +175,13 @@ var errRegistryFull = fmt.Errorf("dataset registry full")
 // not durable.
 type durableCreate func(id, fp string) (*durable.Dataset, error)
 
-// register adds a relation under a content-derived id. Registering
+// register adds a miner's relation under a content-derived id. Registering
 // byte-identical content again returns the existing dataset (idempotent),
 // provided it has not been grown since; grown or colliding datasets get a
 // fresh suffixed id. With durability on, the registration record is
 // logged and fsync'd (via create) before the dataset is published.
-func (r *registry) register(name string, rel *relation.Relation, m *incremental.Miner, now time.Time, create durableCreate) (*dataset, bool, error) {
-	h := durable.NewFingerprint(rel.Names())
-	for t := 0; t < rel.Rows(); t++ {
-		h.AddRow(rel.Row(t))
-	}
+func (r *registry) register(name string, m *incremental.Miner, now time.Time, create durableCreate) (*dataset, bool, error) {
+	h := durable.FingerprintOf(m.Snapshot())
 	fp := h.Sum()
 	base := "ds-" + fp[:12]
 
@@ -245,24 +226,17 @@ func (r *registry) register(name string, rel *relation.Relation, m *incremental.
 	return d, true, nil
 }
 
-// restore publishes a dataset recovered from disk at boot: the relation
-// and incremental session are rebuilt from the replayed rows and the
+// restore publishes a dataset recovered from disk at boot: the
+// incremental session grows the recovered columns directly, and the
 // fingerprint is recomputed once more on the registry's own hasher — a
 // final cross-check that the recovered content is exactly what was
 // acknowledged.
 func (r *registry) restore(rd durable.RecoveredDataset, dur *durable.Dataset, now time.Time) error {
-	rel, err := relation.FromRows(rd.Names, rd.Rows)
+	m, err := incremental.FromRelation(rd.Relation)
 	if err != nil {
 		return fmt.Errorf("restoring %s: %w", rd.ID, err)
 	}
-	m, err := incremental.FromRelation(rel)
-	if err != nil {
-		return fmt.Errorf("restoring %s: %w", rd.ID, err)
-	}
-	h := durable.NewFingerprint(rd.Names)
-	for _, row := range rd.Rows {
-		h.AddRow(row)
-	}
+	h := durable.FingerprintOf(rd.Relation)
 	if got := h.Sum(); got != rd.Fingerprint {
 		return fmt.Errorf("restoring %s: rebuilt fingerprint %s does not match recovered %s", rd.ID, got, rd.Fingerprint)
 	}

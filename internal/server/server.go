@@ -346,9 +346,6 @@ type discoveryStats struct {
 	phases  map[string]time.Duration
 	pstore  pstore.Stats
 	spill   extsort.Stats
-	// snapshotStreams counts discoveries fed by streaming a durable
-	// snapshot instead of materialising the relation.
-	snapshotStreams int64
 	// shard aggregates distributed-discovery activity (shard.go).
 	shard shardCounters
 }
@@ -505,10 +502,7 @@ func (s *Server) runDiscovery(ctx context.Context, d *dataset, p discoverParams)
 		return s.runDepminer(ctx, d, p, start, budget)
 	}
 
-	rel, fp, err := d.snapshot()
-	if err != nil {
-		return nil, err
-	}
+	rel, fp := d.snapshot()
 	resp := &DiscoverResponse{
 		Dataset:     d.id,
 		Fingerprint: fp,

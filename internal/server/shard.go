@@ -42,7 +42,6 @@ import (
 	"repro/internal/agree"
 	"repro/internal/attrset"
 	"repro/internal/core"
-	"repro/internal/durable"
 	"repro/internal/extsort"
 	"repro/internal/faultinject"
 	"repro/internal/fd"
@@ -90,18 +89,14 @@ func newCoordinator(endpoints []string) (*coordinator, error) {
 	return co, nil
 }
 
-// discSource is the input of one depminer discovery, pinned to the
-// fingerprint it was derived from: the relation when materialised, the
-// stripped partition database when streamed from a snapshot. A
-// materialised source builds its database at most once, on first use
+// discSource is the input of one depminer discovery: the dataset's
+// relation view pinned to the fingerprint it was taken at. Its stripped
+// partition database is built from the view at most once, on first use
 // (database), so no discovery builds the partitions twice.
 type discSource struct {
-	db          *partition.Database // nil until built when materialised
-	rel         *relation.Relation  // nil when streamed from a snapshot
-	fp          string
-	names       []string
-	rows, arity int
-	streamed    bool
+	rel *relation.Relation
+	fp  string
+	db  *partition.Database // nil until built
 	// build is how long building db took here (zero until built); it is
 	// reported as the partition phase.
 	build time.Duration
@@ -116,60 +111,6 @@ func (src *discSource) database() *partition.Database {
 		src.build = time.Since(t0)
 	}
 	return src.db
-}
-
-// discoverySource builds the discovery input for d, preferring a
-// streamed durable snapshot — no relation materialisation — when one
-// fully covers the dataset and the request does not need the original
-// values (needRelation: an Armstrong construction does). The snapshot's
-// embedded fingerprint is re-verified against the registry after
-// opening, so a compaction or append racing the check degrades to the
-// materialised path, never to stale data.
-func (s *Server) discoverySource(d *dataset, needRelation bool) (*discSource, error) {
-	if !needRelation {
-		if src, ok := s.tryStreamSource(d); ok {
-			return src, nil
-		}
-	}
-	rel, fp, err := d.snapshot()
-	if err != nil {
-		return nil, err
-	}
-	return &discSource{rel: rel, fp: fp, names: rel.Names(), rows: rel.Rows(), arity: rel.Arity()}, nil
-}
-
-func (s *Server) tryStreamSource(d *dataset) (*discSource, bool) {
-	d.mu.Lock()
-	dur := d.dur
-	fp := d.fp
-	d.mu.Unlock()
-	if dur == nil {
-		return nil, false
-	}
-	path, complete := dur.SnapshotInfo()
-	if !complete {
-		return nil, false
-	}
-	sr, err := durable.OpenSnapshotStream(path)
-	if err != nil {
-		return nil, false
-	}
-	defer sr.Close()
-	if sr.Fingerprint() != fp {
-		return nil, false
-	}
-	t0 := time.Now()
-	db, err := partition.NewDatabaseFromSource(sr)
-	if err != nil {
-		return nil, false
-	}
-	s.stats.mu.Lock()
-	s.stats.snapshotStreams++
-	s.stats.mu.Unlock()
-	return &discSource{
-		db: db, fp: fp, names: append([]string(nil), sr.Names()...),
-		rows: db.NumRows, arity: db.Arity(), streamed: true, build: time.Since(t0),
-	}, true
 }
 
 // coreOptions maps resolved request params onto pipeline options.
@@ -192,36 +133,24 @@ func (s *Server) coreOptions(p discoverParams, budget *guard.Budget) core.Option
 }
 
 // runDepminer serves the depminer/depminer2 algorithms: sharded across
-// the worker fleet when this server is a coordinator, locally otherwise
-// (from a streamed snapshot when the dataset allows it).
+// the worker fleet when this server is a coordinator, locally otherwise.
 func (s *Server) runDepminer(ctx context.Context, d *dataset, p discoverParams, start time.Time, budget *guard.Budget) (*DiscoverResponse, error) {
-	src, err := s.discoverySource(d, p.armstrong)
-	if err != nil {
-		return nil, err
-	}
+	rel, fp := d.snapshot()
+	src := &discSource{rel: rel, fp: fp}
 	resp := &DiscoverResponse{
-		Dataset:          d.id,
-		Fingerprint:      src.fp,
-		Algorithm:        p.algorithm,
-		Rows:             src.rows,
-		Attributes:       src.arity,
-		SnapshotStreamed: src.streamed,
+		Dataset:     d.id,
+		Fingerprint: src.fp,
+		Algorithm:   p.algorithm,
+		Rows:        src.rel.Rows(),
+		Attributes:  src.rel.Arity(),
 	}
 	if s.coord != nil {
 		return s.runSharded(ctx, d, p, start, budget, src, resp)
 	}
-	opts := s.coreOptions(p, budget)
-	if src.db == nil {
-		// Discover builds the partition database itself, as its timed
-		// partition phase.
-		res, runErr := core.Discover(ctx, src.rel, opts)
-		return s.finishDepminer(ctx, resp, res, runErr, src.names, start, budget)
-	}
-	res, runErr := core.DiscoverFromDatabase(ctx, src.db, opts)
-	if res != nil {
-		res.Stats.Partition.Duration = src.build
-	}
-	return s.finishDepminer(ctx, resp, res, runErr, src.names, start, budget)
+	// Discover builds the partition database from the view itself, as
+	// its timed partition phase.
+	res, runErr := core.Discover(ctx, src.rel, s.coreOptions(p, budget))
+	return s.finishDepminer(ctx, resp, res, runErr, src.rel.Names(), start, budget)
 }
 
 // finishDepminer is the one response and stats tail of a depminer
@@ -376,7 +305,7 @@ func (s *Server) runSharded(ctx context.Context, d *dataset, p discoverParams, s
 		obs.Int("sets", len(fam)),
 		obs.Duration("merge", run.mergeDur))
 
-	res, runErr := core.DiscoverFromAgreeSets(ctx, src.rel, fam, src.arity, opts)
+	res, runErr := core.DiscoverFromAgreeSets(ctx, src.rel, fam, src.rel.Arity(), opts)
 	if res != nil {
 		// The agree-set counters are the fan-out's: the coordinator's
 		// couple count and note, the distributed sweep on its clock, and
@@ -388,7 +317,7 @@ func (s *Server) runSharded(ctx context.Context, d *dataset, p discoverParams, s
 		res.Stats.Spill = sp.Stats()
 		res.Stats.Spill.Add(run.spill)
 	}
-	return s.finishDepminer(ctx, resp, res, runErr, src.names, start, budget)
+	return s.finishDepminer(ctx, resp, res, runErr, src.rel.Names(), start, budget)
 }
 
 // shardRun is the mutable state of one fan-out.
@@ -587,23 +516,13 @@ func (r *shardRun) pushDataset(ctx context.Context, cl *client.Client) error {
 	return nil
 }
 
-// datasetCSV materialises the relation once, for pushing to workers
-// that have never seen it. This is the one place a streamed-snapshot
-// discovery rehydrates rows — only on a cold fleet, never on the
+// datasetCSV renders the discovery's relation once, for pushing to
+// workers that have never seen it — only on a cold fleet, never on the
 // steady-state path.
 func (r *shardRun) datasetCSV() ([]byte, error) {
 	r.csvOnce.Do(func() {
-		rel := r.src.rel
-		if rel == nil {
-			var err error
-			rel, _, err = r.d.snapshot()
-			if err != nil {
-				r.csvErr = err
-				return
-			}
-		}
 		var buf bytes.Buffer
-		if err := rel.WriteCSV(&buf); err != nil {
+		if err := r.src.rel.WriteCSV(&buf); err != nil {
 			r.csvErr = err
 			return
 		}
@@ -763,14 +682,11 @@ func (s *Server) handleShardAgree(w http.ResponseWriter, r *http.Request) {
 	defer s.jobs.release()
 
 	plan, err := s.plans.get(req.Fingerprint, func() (*agree.Plan, error) {
-		src, serr := s.discoverySource(d, false)
-		if serr != nil {
-			return nil, serr
-		}
-		if src.fp != req.Fingerprint {
+		rel, fp := d.snapshot()
+		if fp != req.Fingerprint {
 			return nil, errShardStale
 		}
-		return agree.NewPlan(src.database()), nil
+		return agree.NewPlan(partition.NewDatabase(rel)), nil
 	})
 	if err != nil {
 		s.noteShardServedError()

@@ -98,7 +98,10 @@ type DiscoverRequest struct {
 }
 
 // DiscoverResponse is the outcome of a discovery, inline (sync) or via a
-// job record (async).
+// job record (async). A discovery reads one consistent view of the
+// dataset, taken when it starts: Fingerprint and Rows name exactly that
+// prefix of the dataset's rows, even when appends land while the
+// discovery runs.
 type DiscoverResponse struct {
 	Dataset            string     `json:"dataset"`
 	Fingerprint        string     `json:"fingerprint"`
@@ -123,14 +126,10 @@ type DiscoverResponse struct {
 	// Shards reports how the agree-set phase was split on a
 	// coordinator-served discovery (0 = single-node), with the remote /
 	// local-fallback breakdown.
-	Shards       int `json:"shards,omitempty"`
-	ShardsRemote int `json:"shards_remote,omitempty"`
-	ShardsLocal  int `json:"shards_local,omitempty"`
-	// SnapshotStreamed reports that the dataset was fed to the miner by
-	// streaming its durable snapshot column by column, without
-	// materialising the relation in memory.
-	SnapshotStreamed bool    `json:"snapshot_streamed,omitempty"`
-	ElapsedMS        float64 `json:"elapsed_ms"`
+	Shards       int     `json:"shards,omitempty"`
+	ShardsRemote int     `json:"shards_remote,omitempty"`
+	ShardsLocal  int     `json:"shards_local,omitempty"`
+	ElapsedMS    float64 `json:"elapsed_ms"`
 }
 
 // JobInfo is the wire description of an async discovery job.
@@ -183,15 +182,12 @@ type CacheStats struct {
 
 // DiscoveryStats is the discovery section of /v1/stats.
 type DiscoveryStats struct {
-	Total   int64 `json:"total"`
-	Partial int64 `json:"partial"`
-	Failed  int64 `json:"failed"`
-	Sync    int64 `json:"sync"`
-	Async   int64 `json:"async"`
-	// SnapshotStreams counts discoveries fed by streaming a durable
-	// snapshot instead of materialising the relation.
-	SnapshotStreams int64              `json:"snapshot_streams,omitempty"`
-	PhaseTotalMS    map[string]float64 `json:"phase_total_ms"`
+	Total        int64              `json:"total"`
+	Partial      int64              `json:"partial"`
+	Failed       int64              `json:"failed"`
+	Sync         int64              `json:"sync"`
+	Async        int64              `json:"async"`
+	PhaseTotalMS map[string]float64 `json:"phase_total_ms"`
 }
 
 // PstoreStats is the partition-store section of /v1/stats, aggregated
