@@ -19,7 +19,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/agree"
@@ -160,21 +159,17 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// PhaseStat records one pipeline phase's cost: wall-clock duration plus
-// the heap-allocation delta (objects and bytes) observed across the
-// phase. The counters are process-wide (runtime.MemStats cumulative
-// totals), so concurrent work outside the pipeline is attributed to
-// whatever phase was running — exact in the common case of one
-// discovery at a time, indicative otherwise.
+// PhaseStat records one pipeline phase's wall-clock duration.
+// Allocation counts per phase come from the b.ReportAllocs benchmarks
+// (hotpath_bench_test.go), not from here: process-wide heap counters
+// cannot tell concurrent discoveries apart.
 type PhaseStat struct {
 	Duration time.Duration
-	Allocs   uint64 // heap objects allocated during the phase
-	Bytes    uint64 // heap bytes allocated during the phase
 }
 
-// Stats holds per-phase cost counters, letting the benchmark harness
-// attribute time and allocations to pipeline steps without an external
-// profiler.
+// Stats holds per-phase wall times, letting the benchmark harness, the
+// CLI's -stats line and depminerd's phase metrics attribute time to
+// pipeline steps without an external profiler.
 type Stats struct {
 	Partition PhaseStat // stripped partition database extraction
 	AgreeSets PhaseStat // step 1
@@ -185,35 +180,6 @@ type Stats struct {
 	// written, blocks read back) when Options.MaxAgreeBytes is set;
 	// all-zero for in-memory runs.
 	Spill extsort.Stats
-}
-
-// phaseProbe captures the start-of-phase clock and allocation counters.
-// ReadMemStats flushes the per-P allocation caches, so the deltas are
-// exact even for phases that allocate little; its brief stop-the-world
-// costs microseconds per phase boundary, noise against any phase worth
-// measuring.
-type phaseProbe struct {
-	t0      time.Time
-	mallocs uint64
-	bytes   uint64
-}
-
-func startPhase() phaseProbe {
-	var m runtime.MemStats
-	runtime.ReadMemStats(&m)
-	return phaseProbe{t0: time.Now(), mallocs: m.Mallocs, bytes: m.TotalAlloc}
-}
-
-// stop returns the phase's cost since startPhase.
-func (p phaseProbe) stop() PhaseStat {
-	d := time.Since(p.t0)
-	var m runtime.MemStats
-	runtime.ReadMemStats(&m)
-	return PhaseStat{
-		Duration: d,
-		Allocs:   m.Mallocs - p.mallocs,
-		Bytes:    m.TotalAlloc - p.bytes,
-	}
 }
 
 // Result is the outcome of a Dep-Miner run.
@@ -238,8 +204,8 @@ type Result struct {
 	// Couples is the number of tuple couples examined by step 1; Chunks
 	// the number of chunk passes.
 	Couples, Chunks int
-	// Stats records per-step durations together with heap-allocation
-	// deltas, for cost attribution without an external profiler.
+	// Stats records per-step wall times, for cost attribution without an
+	// external profiler.
 	Stats Stats
 	// Partial reports that the run stopped early — budget or deadline
 	// overrun, or a contained panic — and the Result holds only the
@@ -366,14 +332,14 @@ func discover(ctx context.Context, name string, in source, opts Options) (res *R
 	if cerr := opts.Budget.Checkpoint("armstrong"); cerr != nil {
 		return fail(res, cerr)
 	}
-	pp := startPhase()
+	t0 := time.Now()
 	arm, synthetic, aerr := buildArmstrong(in.rel, res.MaxSets, opts.Armstrong)
 	if aerr != nil {
 		return fail(res, aerr)
 	}
 	res.Armstrong = arm
 	res.ArmstrongSynthetic = synthetic
-	res.Stats.Armstrong = pp.stop()
+	res.Stats.Armstrong.Duration = time.Since(t0)
 	return res, nil
 }
 
@@ -416,18 +382,18 @@ func adoptAgree(res *Result, agr *agree.Result) {
 // timed partition phase, unless the source supplies it) swept with the
 // variant AgreeVariant picks.
 func agreeSets(ctx context.Context, in source, opts Options, res *Result) (*agree.Result, error) {
-	pp := startPhase()
+	t0 := time.Now()
 	db := in.db
 	if opts.Algorithm != AgreeNaive && db == nil {
 		if ferr := faultinject.Fire(faultinject.CorePartition); ferr != nil {
 			return nil, ferr
 		}
 		db = partition.NewDatabase(in.rel)
-		res.Stats.Partition = pp.stop()
+		res.Stats.Partition.Duration = time.Since(t0)
 		if cerr := opts.Budget.Checkpoint("partition"); cerr != nil {
 			return nil, cerr
 		}
-		pp = startPhase()
+		t0 = time.Now()
 	}
 	if ferr := faultinject.Fire(faultinject.CoreAgree); ferr != nil {
 		return nil, ferr
@@ -451,7 +417,7 @@ func agreeSets(ctx context.Context, in source, opts Options, res *Result) (*agre
 		})
 	}
 	if err == nil {
-		res.Stats.AgreeSets = pp.stop()
+		res.Stats.AgreeSets.Duration = time.Since(t0)
 	}
 	return agr, err
 }
@@ -465,10 +431,10 @@ func deriveFDs(ctx context.Context, arity int, opts Options, res *Result) error 
 	if cerr := opts.Budget.Checkpoint("maxsets"); cerr != nil {
 		return cerr
 	}
-	pp := startPhase()
+	t0 := time.Now()
 	ms := maxsets.Compute(res.AgreeSets, arity)
 	res.MaxSets = ms.AllMax()
-	res.Stats.MaxSets = pp.stop()
+	res.Stats.MaxSets.Duration = time.Since(t0)
 
 	// Steps 3–4: LEFT_HAND_SIDE then FD_OUTPUT. The per-attribute searches
 	// Tr(cmax(dep(r),A)) are independent, so they fan out one task per RHS
@@ -481,7 +447,7 @@ func deriveFDs(ctx context.Context, arity int, opts Options, res *Result) error 
 	if cerr := opts.Budget.Checkpoint("lhs"); cerr != nil {
 		return cerr
 	}
-	pp = startPhase()
+	t0 = time.Now()
 	hs := make([]*hypergraph.Hypergraph, arity)
 	for a := 0; a < arity; a++ {
 		hs[a] = hypergraph.Simplify(ms.CMax[a])
@@ -500,7 +466,7 @@ func deriveFDs(ctx context.Context, arity int, opts Options, res *Result) error 
 		}
 	}
 	res.FDs.Sort()
-	res.Stats.LHS = pp.stop()
+	res.Stats.LHS.Duration = time.Since(t0)
 	return nil
 }
 

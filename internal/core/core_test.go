@@ -290,8 +290,8 @@ func TestPropertyDiscoverMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestResultStats checks that every pipeline phase reports its cost in
-// Result.Stats.
+// TestResultStats checks that every pipeline phase reports its wall time
+// in Result.Stats.
 func TestResultStats(t *testing.T) {
 	r := relation.PaperExample()
 	res, err := Discover(context.Background(), r, Options{Workers: 1})
@@ -309,9 +309,6 @@ func TestResultStats(t *testing.T) {
 	for name, ps := range phases {
 		if ps.Duration <= 0 {
 			t.Errorf("Stats.%s.Duration = %v, want > 0", name, ps.Duration)
-		}
-		if ps.Allocs == 0 || ps.Bytes == 0 {
-			t.Errorf("Stats.%s allocs/bytes = %d/%d, want > 0", name, ps.Allocs, ps.Bytes)
 		}
 	}
 }

@@ -486,7 +486,7 @@ func TestSnapshotRoundtrip(t *testing.T) {
 	rows := testRows(0, 50)
 	fp := ContentFingerprint(testNames, rows)
 	data := encodeSnapshot("t/round", mustRelation(t, testNames, rows), fp)
-	name, c2, fp2, err := decodeSnapshot(data)
+	name, c2, fp2, err := decodeSnapshotBytes(data)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}

@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -101,6 +102,19 @@ func FuzzWALReplay(f *testing.F) {
 	})
 }
 
+// decodeSnapshotBytes runs snapshot bytes through the one DMSNAP1
+// decoder exactly as recovery does: validate, then restore the store.
+func decodeSnapshotBytes(data []byte) (name string, c *relation.Columns, fp string, err error) {
+	sr, err := newSnapshotReader(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		return "", nil, "", err
+	}
+	if c, err = sr.restore(); err != nil {
+		return "", nil, "", err
+	}
+	return sr.Name(), c, sr.Fingerprint(), nil
+}
+
 // FuzzSnapshotDecode hardens the snapshot reader the same way: arbitrary
 // bytes must decode cleanly or error, never panic, and a successful
 // decode must round-trip.
@@ -117,12 +131,12 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		name, c, fp, err := decodeSnapshot(data)
+		name, c, fp, err := decodeSnapshotBytes(data)
 		if err != nil {
 			return
 		}
 		reenc := encodeSnapshot(name, c.Relation(), fp)
-		name2, c2, fp2, err := decodeSnapshot(reenc)
+		name2, c2, fp2, err := decodeSnapshotBytes(reenc)
 		if err != nil {
 			t.Fatalf("re-encode of accepted snapshot fails decode: %v", err)
 		}

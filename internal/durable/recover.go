@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -83,11 +84,14 @@ func (s *Store) recoverOne(id, dir string) (*Dataset, *RecoveredDataset, string,
 	)
 	snapPath := filepath.Join(dir, "snapshot.snap")
 	if data, err := os.ReadFile(snapPath); err == nil {
-		sname, sc, sfp, derr := decodeSnapshot(data)
+		sr, derr := newSnapshotReader(bytes.NewReader(data), int64(len(data)))
+		if derr == nil {
+			cols, derr = sr.restore()
+		}
 		if derr != nil {
 			return nil, nil, fmt.Sprintf("snapshot: %v", derr), nil
 		}
-		name, cols, lastFP = sname, sc, sfp
+		name, lastFP = sr.Name(), sr.Fingerprint()
 	} else if !os.IsNotExist(err) {
 		return nil, nil, "", fmt.Errorf("durable: reading %s: %w", snapPath, err)
 	}

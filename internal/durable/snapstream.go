@@ -17,17 +17,21 @@ import (
 // — the snapshot stays on disk; memory holds one column (plus the
 // schema) at a time.
 //
-// The open-time pass is as strict as decodeSnapshot: it verifies the
-// magic, the frame length against the file size, the CRC32C over the
-// whole payload, and every code against its dictionary size. A damaged
-// snapshot therefore fails at Open, never mid-computation — matching the
-// quarantine contract (a snapshot is the compacted past; there is no WAL
-// to fall back on, so damage must surface loudly and immediately).
+// It is also the only DMSNAP1 decoder: recovery reads the file into
+// memory and decodes it through newSnapshotReader.
 //
-// Column reads are independent section readers over the shared file
-// handle, so concurrent column loads from pool workers are safe.
+// The open-time pass verifies the magic, the frame length against the
+// file size, the CRC32C over the whole payload, and every code against
+// its dictionary size. A damaged snapshot therefore fails at open,
+// never mid-computation — matching the quarantine contract (a snapshot
+// is the compacted past; there is no WAL to fall back on, so damage
+// must surface loudly and immediately).
+//
+// Column reads are independent section readers over the shared
+// io.ReaderAt, so concurrent column loads from pool workers are safe.
 type SnapshotReader struct {
-	f     *os.File
+	r     io.ReaderAt
+	file  *os.File // closed by Close; nil when the caller owns r
 	name  string
 	fp    string
 	names []string
@@ -51,21 +55,27 @@ func OpenSnapshotStream(path string) (*SnapshotReader, error) {
 	if err != nil {
 		return nil, err
 	}
-	sr, err := loadSnapshotStream(f)
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	sr, err := newSnapshotReader(f, fi.Size())
 	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("durable: streaming snapshot %s: %w", path, err)
 	}
+	sr.file = f
 	return sr, nil
 }
 
-func loadSnapshotStream(f *os.File) (*SnapshotReader, error) {
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
+// newSnapshotReader validates the size-byte snapshot readable through r
+// and returns a reader over it. The caller keeps ownership of r, which
+// must stay readable while the reader is in use; Close does not close
+// it.
+func newSnapshotReader(r io.ReaderAt, size int64) (*SnapshotReader, error) {
 	head := make([]byte, len(snapshotMagic)+frameHeaderLen)
-	if _, err := io.ReadFull(f, head); err != nil {
+	if _, err := r.ReadAt(head, 0); err != nil {
 		return nil, fmt.Errorf("snapshot truncated: %w", err)
 	}
 	if string(head[:len(snapshotMagic)]) != string(snapshotMagic) {
@@ -75,15 +85,16 @@ func loadSnapshotStream(f *os.File) (*SnapshotReader, error) {
 	n := int64(binary.LittleEndian.Uint32(hdr[0:4]))
 	wantCRC := binary.LittleEndian.Uint32(hdr[4:8])
 	base := int64(len(snapshotMagic) + frameHeaderLen)
-	if n > maxRecordBytes || base+n != fi.Size() {
-		return nil, fmt.Errorf("snapshot frame length %d does not match file size %d", n, fi.Size()-base)
+	if n > maxRecordBytes || base+n != size {
+		return nil, fmt.Errorf("snapshot frame length %d does not match file size %d", n, size-base)
 	}
 
 	// One streaming pass: parse the structure while folding every chunk
 	// into the running CRC, so validation never holds more than one
 	// buffer of payload.
-	cr := &crcScanner{r: io.NewSectionReader(f, base, n), remaining: n}
-	sr := &SnapshotReader{f: f, base: base}
+	cr := &crcScanner{r: io.NewSectionReader(r, base, n), remaining: n}
+	sr := &SnapshotReader{r: r, base: base}
+	var err error
 	sr.name, err = cr.string()
 	if err != nil {
 		return nil, err
@@ -171,7 +182,7 @@ func (sr *SnapshotReader) Column(a int) ([]int, int, error) {
 		return nil, 0, fmt.Errorf("durable: column %d out of range %d", a, len(sr.cols))
 	}
 	col := sr.cols[a]
-	br := bufio.NewReaderSize(io.NewSectionReader(sr.f, sr.base+col.codesOff, col.codesEnd-col.codesOff), 1<<16)
+	br := bufio.NewReaderSize(io.NewSectionReader(sr.r, sr.base+col.codesOff, col.codesEnd-col.codesOff), 1<<16)
 	codes := make([]int, sr.rows)
 	for t := range codes {
 		code, err := binary.ReadUvarint(br)
@@ -193,7 +204,7 @@ func (sr *SnapshotReader) Dict(a int) ([]string, error) {
 	}
 	col := sr.cols[a]
 	cr := &crcScanner{
-		r:         io.NewSectionReader(sr.f, sr.base+col.dictOff, col.codesOff-col.dictOff),
+		r:         io.NewSectionReader(sr.r, sr.base+col.dictOff, col.codesOff-col.dictOff),
 		remaining: col.codesOff - col.dictOff,
 	}
 	vals := make([]string, col.dictSize)
@@ -207,8 +218,14 @@ func (sr *SnapshotReader) Dict(a int) ([]string, error) {
 	return vals, nil
 }
 
-// Close releases the underlying file.
-func (sr *SnapshotReader) Close() error { return sr.f.Close() }
+// Close releases the file OpenSnapshotStream opened; it is a no-op for
+// a reader built by newSnapshotReader.
+func (sr *SnapshotReader) Close() error {
+	if sr.file == nil {
+		return nil
+	}
+	return sr.file.Close()
+}
 
 // crcScanner parses uvarints and length-prefixed strings from a reader
 // in fixed-size chunks, folding each chunk into a running CRC32C as it

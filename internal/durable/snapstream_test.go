@@ -1,6 +1,6 @@
 package durable
 
-// Streamed snapshot reads must agree exactly with the in-memory decoder
+// Streamed snapshot reads must agree exactly with the encoded relation
 // and reject damage just as loudly.
 
 import (

@@ -55,7 +55,7 @@ type MiddlewareConfig struct {
 //
 //  1. request id: adopt the RequestIDHeader value (generating one when
 //     absent or malformed), echo it on the response, and seed the
-//     context's attribute set with it so every log line joins;
+//     context's attributes with it so every log line joins;
 //  2. panic containment: a panicking handler is logged with its stack
 //     and answered with a plain 500 when nothing has been written —
 //     http.ErrAbortHandler passes through untouched, because handlers
@@ -72,7 +72,7 @@ func Middleware(cfg MiddlewareConfig, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := requestID(r)
 		w.Header().Set(wire.RequestIDHeader, id)
-		ctx := ContextWithAttrs(r.Context(), String(AttrKeyRequestID, id))
+		ctx := ContextWithAttrs(r.Context(), slog.String(AttrKeyRequestID, id))
 		r = r.WithContext(ctx)
 
 		if cfg.Metrics != nil {

@@ -21,37 +21,25 @@ type Span struct {
 }
 
 // StartSpan opens a span named name. The event is logged at debug level
-// on End, carrying the context's attribute set (request id and friends),
+// on End, carrying the context's attributes (request id and friends),
 // the given attrs, and the measured duration.
-func StartSpan(ctx context.Context, base *slog.Logger, name string, attrs ...Attr) *Span {
-	log := Logger(ctx, base)
-	if len(attrs) > 0 {
-		log = log.With(NewSet(attrs...).Args()...)
-	}
-	return &Span{log: log, name: name, start: time.Now()}
+func StartSpan(ctx context.Context, base *slog.Logger, name string, attrs ...slog.Attr) *Span {
+	return &Span{log: Logger(ContextWithAttrs(ctx, attrs...), base), name: name, start: time.Now()}
 }
 
 // End closes the span, logging its duration plus any extra attributes
 // measured along the way (byte counts, set counts).
-func (s *Span) End(extra ...Attr) {
-	args := []any{
+func (s *Span) End(extra ...slog.Attr) {
+	attrs := append([]slog.Attr{
 		slog.String("span", s.name),
 		slog.Float64("duration_ms", float64(time.Since(s.start))/float64(time.Millisecond)),
-	}
-	for _, a := range extra {
-		args = append(args, a.Slog())
-	}
-	s.log.Debug("span", args...)
+	}, extra...)
+	s.log.LogAttrs(context.Background(), slog.LevelDebug, "span", attrs...)
 }
 
 // Event logs a one-shot structured event at debug level with the
 // context's attributes attached — the span form for durations that were
 // measured elsewhere (e.g. the per-phase timings in Result.Stats).
-func Event(ctx context.Context, base *slog.Logger, msg string, attrs ...Attr) {
-	log := Logger(ctx, base)
-	args := make([]any, 0, len(attrs))
-	for _, a := range attrs {
-		args = append(args, a.Slog())
-	}
-	log.Debug(msg, args...)
+func Event(ctx context.Context, base *slog.Logger, msg string, attrs ...slog.Attr) {
+	Logger(ctx, base).LogAttrs(ctx, slog.LevelDebug, msg, attrs...)
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/relation"
@@ -293,13 +294,99 @@ func TestRequestIDPropagation(t *testing.T) {
 		t.Errorf("worker logs have no line with %s — the id did not propagate over the shard dispatch:\n%s",
 			needle, workerBuf.String())
 	}
-	// The worker-side shard event joins too, proving the ctx attrs (not
-	// just the access log) carry the id.
-	if !strings.Contains(workerBuf.String(), "shard served") {
+	// The worker-side shard event itself carries the id, proving the ctx
+	// attrs (not just the access log) propagate it.
+	if served := logLines(workerBuf.String(), `msg="shard served"`); len(served) == 0 {
 		t.Errorf("worker logs missing the shard-served event:\n%s", workerBuf.String())
+	} else {
+		for _, line := range served {
+			if !strings.Contains(line, needle) {
+				t.Errorf("shard-served line lacks %s: %s", needle, line)
+			}
+		}
 	}
 	// And the coordinator logged its fan-out under the same id.
 	if !strings.Contains(coordBuf.String(), "shard fan-out done") {
 		t.Errorf("coordinator logs missing the fan-out event:\n%s", coordBuf.String())
+	}
+}
+
+// logLines returns the lines of a text-format log that contain every
+// needle.
+func logLines(log string, needles ...string) []string {
+	var out []string
+	for _, line := range strings.Split(log, "\n") {
+		match := line != ""
+		for _, n := range needles {
+			match = match && strings.Contains(line, n)
+		}
+		if match {
+			out = append(out, line)
+		}
+	}
+	return out
+}
+
+// TestAsyncDiscoveryLogAttrs follows an async discovery onto its job
+// goroutine: the job runs under the server's base context, yet every
+// line it logs keeps the submitting request's attributes and adds the
+// job id.
+func TestAsyncDiscoveryLogAttrs(t *testing.T) {
+	buf := &syncBuffer{}
+	log, err := obs.NewLogger(buf, obs.Config{Level: "debug"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{Logger: log})
+	reg := register(t, ts, relation.PaperExample())
+
+	const rid = "async-trace-7"
+	force := true
+	body, err := json.Marshal(DiscoverRequest{Dataset: reg.ID, Algorithm: "depminer2", Async: &force})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/discover", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set(wire.RequestIDHeader, rid)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var j JobInfo
+	err = json.NewDecoder(resp.Body).Decode(&j)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("async discover: status %d, %v", resp.StatusCode, err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for j.State == JobRunning || j.State == "" {
+		if time.Now().After(deadline) {
+			t.Fatal("job never finished")
+		}
+		time.Sleep(5 * time.Millisecond)
+		if code := getJSON(t, ts.URL+"/v1/jobs/"+j.ID, &j); code != http.StatusOK {
+			t.Fatalf("job poll status = %d", code)
+		}
+	}
+	if j.State != JobDone {
+		t.Fatalf("job = %+v", j)
+	}
+
+	want := []string{"request_id=" + rid, "job_id=" + j.ID, "dataset=" + reg.ID, "algorithm=depminer2"}
+	for _, msg := range []string{`msg="discovery phases"`, `msg="discovery done"`} {
+		if len(logLines(buf.String(), msg)) == 0 {
+			t.Errorf("no %s line in:\n%s", msg, buf.String())
+		}
+		for _, line := range logLines(buf.String(), msg) {
+			for _, w := range want {
+				if !strings.Contains(line, w) {
+					t.Errorf("%s line lacks %s: %s", msg, w, line)
+				}
+			}
+		}
 	}
 }

@@ -360,15 +360,15 @@ func (d *discoveryStats) addPhases(st core.Stats) {
 
 // logPhases emits the per-discovery phase span event: Result.Stats
 // timings as one structured debug line, joined to the request by the
-// context's attribute set. The same numbers accumulate into
+// context's attributes. The same numbers accumulate into
 // phase_seconds_total; this is the per-request view of them.
 func (s *Server) logPhases(ctx context.Context, st core.Stats) {
 	obs.Event(ctx, s.log, "discovery phases",
-		obs.Duration("partition", st.Partition.Duration),
-		obs.Duration("agree_sets", st.AgreeSets.Duration),
-		obs.Duration("max_sets", st.MaxSets.Duration),
-		obs.Duration("lhs", st.LHS.Duration),
-		obs.Duration("armstrong", st.Armstrong.Duration))
+		slog.Duration("partition", st.Partition.Duration),
+		slog.Duration("agree_sets", st.AgreeSets.Duration),
+		slog.Duration("max_sets", st.MaxSets.Duration),
+		slog.Duration("lhs", st.LHS.Duration),
+		slog.Duration("armstrong", st.Armstrong.Duration))
 }
 
 func (d *discoveryStats) addPstore(st pstore.Stats) {

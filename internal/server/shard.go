@@ -32,7 +32,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -264,11 +266,11 @@ func (s *Server) runSharded(ctx context.Context, d *dataset, p discoverParams, s
 	resp.ShardsRemote = run.remote
 	resp.ShardsLocal = run.local
 	obs.Event(ctx, s.log, "shard fan-out done",
-		obs.Int("shards", len(shards)),
-		obs.Int("remote", run.remote),
-		obs.Int("local", run.local),
-		obs.Duration("dispatch", run.dispatchDur),
-		obs.Duration("stream", run.streamDur))
+		slog.Int("shards", len(shards)),
+		slog.Int("remote", run.remote),
+		slog.Int("local", run.local),
+		slog.Duration("dispatch", run.dispatchDur),
+		slog.Duration("stream", run.streamDur))
 	if run.firstErr != nil {
 		if guard.Governed(run.firstErr) {
 			return finishResponse(resp, nil, true, run.firstErr, nil, start, budget)
@@ -302,8 +304,8 @@ func (s *Server) runSharded(ctx context.Context, d *dataset, p discoverParams, s
 	}
 	agreeDur := time.Since(agreeStart)
 	obs.Event(ctx, s.log, "shard merge done",
-		obs.Int("sets", len(fam)),
-		obs.Duration("merge", run.mergeDur))
+		slog.Int("sets", len(fam)),
+		slog.Duration("merge", run.mergeDur))
 
 	res, runErr := core.DiscoverFromAgreeSets(ctx, src.rel, fam, src.rel.Arity(), opts)
 	if res != nil {
@@ -379,8 +381,8 @@ func (r *shardRun) failed() bool {
 func (r *shardRun) runShard(ctx context.Context, i int, sh agree.Shard) {
 	mode := "failed"
 	span := obs.StartSpan(ctx, r.s.log, "shard",
-		obs.Int("shard", i), obs.Int("couple_start", sh.Start), obs.Int("couple_end", sh.End))
-	defer func() { span.End(obs.String("mode", mode)) }()
+		slog.Int("shard", i), slog.Int("couple_start", sh.Start), slog.Int("couple_end", sh.End))
+	defer func() { span.End(slog.String("mode", mode)) }()
 	r.mu.Lock()
 	r.attempted++
 	r.mu.Unlock()
@@ -403,7 +405,7 @@ func (r *shardRun) runShard(ctx context.Context, i int, sh agree.Shard) {
 		return // a sibling already failed the discovery
 	}
 	obs.Event(ctx, r.s.log, "shard falling back local",
-		obs.Int("shard", i), obs.String("remote_error", remoteErr.Error()))
+		slog.Int("shard", i), slog.String("remote_error", remoteErr.Error()))
 	r.computeLocal(ctx, sh, remoteErr)
 	if !r.failed() {
 		mode = "local"
@@ -590,7 +592,10 @@ var errShardStale = errors.New("dataset fingerprint changed")
 
 // planCache caches shard plans by content fingerprint, with
 // singleflight builds so concurrent shards of one discovery share one
-// couple-list generation. FIFO eviction; stale fingerprints age out.
+// couple-list generation. FIFO eviction; stale fingerprints age out. A
+// failed build is not cached: its entry is dropped, so the next get for
+// that fingerprint (say, once the same content is re-registered after
+// an errShardStale) builds afresh.
 type planCache struct {
 	mu      sync.Mutex
 	cap     int
@@ -621,7 +626,17 @@ func (pc *planCache) get(fp string, build func() (*agree.Plan, error)) (*agree.P
 		}
 	}
 	pc.mu.Unlock()
-	e.once.Do(func() { e.plan, e.err = build() })
+	e.once.Do(func() {
+		if e.plan, e.err = build(); e.err == nil {
+			return
+		}
+		pc.mu.Lock()
+		if pc.entries[fp] == e {
+			delete(pc.entries, fp)
+			pc.order = slices.DeleteFunc(pc.order, func(k string) bool { return k == fp })
+		}
+		pc.mu.Unlock()
+	})
 	return e.plan, e.err
 }
 
@@ -756,8 +771,8 @@ func (s *Server) handleShardAgree(w http.ResponseWriter, r *http.Request) {
 	// middleware from the dispatch header), so this line joins the
 	// coordinator's fan-out lines.
 	obs.Event(r.Context(), s.log, "shard served",
-		obs.String("fingerprint", req.Fingerprint),
-		obs.Int("couple_start", req.CoupleStart),
-		obs.Int("couple_end", req.CoupleEnd),
-		obs.Int64("sets", res.Sets))
+		slog.String("fingerprint", req.Fingerprint),
+		slog.Int("couple_start", req.CoupleStart),
+		slog.Int("couple_end", req.CoupleEnd),
+		slog.Int64("sets", res.Sets))
 }

@@ -13,6 +13,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/client"
@@ -583,6 +586,55 @@ func TestShardPlanStaleAfterAppend(t *testing.T) {
 		// The old fingerprint no longer names any dataset: 404, which
 		// sends the coordinator down the push-and-retry rung.
 		t.Fatalf("stale fingerprint: status %d, want 404", code)
+	}
+}
+
+// TestPlanCacheDropsFailedBuild pins the cache's error contract: a build
+// that fails (errShardStale when the dataset grew mid-lookup) is not
+// remembered, so once the same content is registered again the next
+// request for its fingerprint builds and gets the plan, while
+// concurrent gets of one fingerprint still share a single build.
+func TestPlanCacheDropsFailedBuild(t *testing.T) {
+	pc := newPlanCache(planCacheCap)
+	if _, err := pc.get("fp", func() (*agree.Plan, error) { return nil, errShardStale }); err != errShardStale {
+		t.Fatalf("first get: err = %v, want errShardStale", err)
+	}
+	want := agree.NewPlan(partition.NewDatabase(shardTestRelation(t, 5)))
+	got, err := pc.get("fp", func() (*agree.Plan, error) { return want, nil })
+	if err != nil || got != want {
+		t.Fatalf("get after a failed build = %p, %v; want the rebuilt plan %p", got, err, want)
+	}
+	if len(pc.order) != 1 || len(pc.entries) != 1 {
+		t.Fatalf("cache holds %d entries in %v, want just fp", len(pc.entries), pc.order)
+	}
+
+	var builds atomic.Int32
+	release := make(chan struct{})
+	var wg sync.WaitGroup
+	plans := make([]*agree.Plan, 8)
+	for i := range plans {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			plans[i], _ = pc.get("fp2", func() (*agree.Plan, error) {
+				builds.Add(1)
+				<-release
+				return want, nil
+			})
+		}(i)
+	}
+	for builds.Load() == 0 {
+		runtime.Gosched()
+	}
+	close(release)
+	wg.Wait()
+	if n := builds.Load(); n != 1 {
+		t.Errorf("%d concurrent gets ran %d builds, want 1", len(plans), n)
+	}
+	for i, p := range plans {
+		if p != want {
+			t.Errorf("get %d = %p, want the shared plan %p", i, p, want)
+		}
 	}
 }
 
