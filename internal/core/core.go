@@ -182,6 +182,24 @@ type Stats struct {
 	Spill extsort.Stats
 }
 
+// Phase is one named pipeline phase's wall time.
+type Phase struct {
+	Name     string
+	Duration time.Duration
+}
+
+// Phases lists the pipeline phases in pipeline order, under the names
+// depminerd's phase metrics and logs key on.
+func (s Stats) Phases() []Phase {
+	return []Phase{
+		{"partition", s.Partition.Duration},
+		{"agree_sets", s.AgreeSets.Duration},
+		{"max_sets", s.MaxSets.Duration},
+		{"lhs", s.LHS.Duration},
+		{"armstrong", s.Armstrong.Duration},
+	}
+}
+
 // Result is the outcome of a Dep-Miner run.
 type Result struct {
 	// FDs is the canonical cover: every minimal non-trivial FD X → A of

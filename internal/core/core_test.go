@@ -298,17 +298,17 @@ func TestResultStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := res.Stats
-	phases := map[string]PhaseStat{
-		"Partition": s.Partition,
-		"AgreeSets": s.AgreeSets,
-		"MaxSets":   s.MaxSets,
-		"LHS":       s.LHS,
-		"Armstrong": s.Armstrong,
+	want := []string{"partition", "agree_sets", "max_sets", "lhs", "armstrong"}
+	phases := res.Stats.Phases()
+	if len(phases) != len(want) {
+		t.Fatalf("Stats.Phases() = %v, want %d phases", phases, len(want))
 	}
-	for name, ps := range phases {
-		if ps.Duration <= 0 {
-			t.Errorf("Stats.%s.Duration = %v, want > 0", name, ps.Duration)
+	for i, ph := range phases {
+		if ph.Name != want[i] {
+			t.Errorf("phase %d named %q, want %q", i, ph.Name, want[i])
+		}
+		if ph.Duration <= 0 {
+			t.Errorf("phase %s duration = %v, want > 0", ph.Name, ph.Duration)
 		}
 	}
 }

@@ -73,6 +73,15 @@ func (y *syncer) fail(err error) {
 // ID returns the dataset's registry id (also its directory name).
 func (d *Dataset) ID() string { return d.id }
 
+// Err returns the handle's sticky durability error, nil while it is
+// healthy. Once non-nil it stays set: the handle refuses every later
+// Append, so callers check it before committing rows anywhere else.
+func (d *Dataset) Err() error {
+	d.sy.mu.Lock()
+	defer d.sy.mu.Unlock()
+	return d.sy.err
+}
+
 // Append logs one acknowledged-to-be batch: rows were committed in
 // memory, bringing the dataset to rowsAfter total rows with content
 // fingerprint fp. The frame is written (not yet synced) and a Token is
@@ -85,10 +94,7 @@ func (d *Dataset) Append(rows [][]string, rowsAfter int, fp string) (Token, erro
 
 	d.wmu.Lock()
 	defer d.wmu.Unlock()
-	d.sy.mu.Lock()
-	serr := d.sy.err
-	d.sy.mu.Unlock()
-	if serr != nil {
+	if serr := d.Err(); serr != nil {
 		return 0, fmt.Errorf("durable: dataset %s: %w", d.id, serr)
 	}
 	if err := faultinject.Fire(faultinject.DurableWrite); err != nil {
@@ -188,10 +194,7 @@ func (d *Dataset) Sync(tok Token) error {
 func (d *Dataset) compact() error {
 	d.wmu.Lock()
 	defer d.wmu.Unlock()
-	d.sy.mu.Lock()
-	serr := d.sy.err
-	d.sy.mu.Unlock()
-	if serr != nil || d.tail == 0 {
+	if d.Err() != nil || d.tail == 0 {
 		return nil
 	}
 
@@ -286,11 +289,4 @@ func (d *Dataset) close() error {
 	err := d.wal.Close()
 	d.wal = nil
 	return err
-}
-
-// broken reports whether the handle carries a sticky durability error.
-func (d *Dataset) broken() bool {
-	d.sy.mu.Lock()
-	defer d.sy.mu.Unlock()
-	return d.sy.err != nil
 }

@@ -584,7 +584,7 @@ func TestWriteFaultMarksBroken(t *testing.T) {
 	if _, err := d.Append(testRows(5, 2), 7, "whatever"); err == nil {
 		t.Fatal("broken dataset accepted an append")
 	}
-	if !d.broken() {
+	if d.Err() == nil {
 		t.Fatal("dataset not marked broken")
 	}
 	if st := s.Stats(); st.Broken != 1 {
@@ -617,7 +617,7 @@ func TestFsyncFaultMarksBroken(t *testing.T) {
 		t.Fatalf("Sync under fault: %v", err)
 	}
 	faultinject.Reset()
-	if !d.broken() {
+	if d.Err() == nil {
 		t.Fatal("fsync failure did not mark the dataset broken")
 	}
 }
@@ -636,7 +636,7 @@ func TestRenameFaultLeavesWALAuthoritative(t *testing.T) {
 		t.Fatalf("compact under fault: %v", err)
 	}
 	faultinject.Reset()
-	if d.broken() {
+	if d.Err() != nil {
 		t.Fatal("failed compaction must not break the dataset")
 	}
 	if st := s.Stats(); st.CompactErrors != 1 {

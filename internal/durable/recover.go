@@ -171,7 +171,8 @@ func (s *Store) recoverOne(id, dir string) (*Dataset, *RecoveredDataset, string,
 	// The decisive check: the fingerprint of the replayed content must
 	// equal the one recorded when the last surviving record was written.
 	rel := cols.Relation()
-	if got := FingerprintOf(rel).Sum(); got != lastFP {
+	hasher := FingerprintOf(rel)
+	if got := hasher.Sum(); got != lastFP {
 		return nil, nil, fmt.Sprintf("fingerprint mismatch: recorded %.12s…, replayed %.12s…", lastFP, got), nil
 	}
 
@@ -198,6 +199,7 @@ func (s *Store) recoverOne(id, dir string) (*Dataset, *RecoveredDataset, string,
 		Name:        name,
 		Relation:    rel,
 		Fingerprint: lastFP,
+		Hasher:      hasher,
 		Replayed:    applied,
 		TornTail:    torn,
 	}

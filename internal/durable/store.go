@@ -72,6 +72,9 @@ type RecoveredDataset struct {
 	// (relation.ColumnsOf).
 	Relation    *relation.Relation
 	Fingerprint string
+	// Hasher is the running hash recovery verified Relation against
+	// (its Sum is Fingerprint), ready for appended rows.
+	Hasher *Fingerprint
 	// Replayed counts WAL records applied on top of the snapshot.
 	Replayed int
 	// TornTail reports that a torn final record was dropped — the
@@ -308,7 +311,7 @@ func (s *Store) Stats() Stats {
 	}
 	s.mu.Unlock()
 	for _, d := range ds {
-		if d.broken() {
+		if d.Err() != nil {
 			broken++
 		}
 	}

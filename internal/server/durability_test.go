@@ -192,7 +192,11 @@ func TestQuarantineServesHealthyDatasets(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "quarantine", victim.ID, "REASON.json")); err != nil {
 		t.Fatalf("REASON.json: %v", err)
 	}
-	// The server still accepts new registrations and appends.
+	// Quarantine is not degradation: the server stays ready…
+	if code, _ := getReadyz(t, ts2.URL); code != http.StatusOK {
+		t.Fatalf("readyz after quarantine boot: status %d, want 200", code)
+	}
+	// …and still accepts new registrations and appends.
 	fresh := register(t, ts2, r2)
 	if code, _ := appendCSV(t, ts2.URL, fresh.ID, "p,q,r,s\n"); code != http.StatusOK {
 		t.Fatalf("append after quarantine boot: %d", code)
@@ -232,6 +236,53 @@ func TestAppendDurabilityFaultReturns503AndReadOnly(t *testing.T) {
 	var st StatsResponse
 	if code := getJSON(t, ts.URL+"/v1/stats", &st); code != http.StatusOK || st.Durable == nil || st.Durable.Broken != 1 {
 		t.Fatalf("stats broken count: %+v", st.Durable)
+	}
+	// A sticky-broken dataset takes the server out of rotation.
+	if code, retry := getReadyz(t, ts.URL); code != http.StatusServiceUnavailable || retry == "" {
+		t.Fatalf("readyz with a broken dataset: status %d Retry-After %q, want 503 with a hint", code, retry)
+	}
+}
+
+// getReadyz probes GET /readyz, returning the status and Retry-After.
+func getReadyz(t *testing.T, url string) (int, string) {
+	t.Helper()
+	resp, err := http.Get(url + "/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode, resp.Header.Get("Retry-After")
+}
+
+// TestBrokenHandleRefusesAppendBeforeCommit breaks a dataset's durable
+// handle without the server seeing it, as a failed WAL truncate after a
+// background compaction does. The next append must be refused with 503
+// before any row is committed to memory.
+func TestBrokenHandleRefusesAppendBeforeCommit(t *testing.T) {
+	defer faultinject.Reset()
+	s, ts := newTestServer(t, durableConfig(t.TempDir()))
+	defer s.Shutdown(context.Background())
+	reg := register(t, ts, relation.PaperExample())
+	d, ok := s.reg.get(reg.ID)
+	if !ok {
+		t.Fatal("registered dataset missing")
+	}
+	faultinject.Set(faultinject.DurableWrite, faultinject.FailWith(errors.New("disk on fire")))
+	if _, err := d.dur.Append([][]string{{"90", "6", "99", "Research", "7"}}, reg.Rows+1, reg.Fingerprint); err == nil {
+		t.Fatal("durable append under a write fault succeeded")
+	}
+	faultinject.Reset()
+
+	code, resp := appendCSV(t, ts.URL, reg.ID, "91,6,99,Research,7\n")
+	if code != http.StatusServiceUnavailable {
+		t.Fatalf("append on a broken handle: status %d, want 503", code)
+	}
+	if resp.Appended != 0 || resp.Rows != reg.Rows || resp.Fingerprint != reg.Fingerprint {
+		t.Fatalf("append on a broken handle committed rows: %+v, registered with %d rows", resp, reg.Rows)
+	}
+	var info DatasetInfo
+	if code := getJSON(t, ts.URL+"/v1/datasets/"+reg.ID, &info); code != http.StatusOK || info.Rows != reg.Rows {
+		t.Fatalf("dataset after refused append: status %d rows %d, want %d", code, info.Rows, reg.Rows)
 	}
 }
 

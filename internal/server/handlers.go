@@ -258,21 +258,13 @@ func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 	if req.Async != nil {
 		async = *req.Async
 	}
+	s.wg.Add(1)
 	if !async {
-		s.wg.Add(1)
-		defer s.wg.Done()
-		defer s.jobs.release()
-		if s.testHookJobStart != nil {
-			s.testHookJobStart(d.id)
-		}
-		resp, rerr := s.runDiscovery(ctx, d, p)
-		s.recordOutcome(resp, rerr, false)
-		s.logOutcome(ctx, resp, rerr)
+		resp, rerr := s.serveDiscovery(ctx, d, p, false)
 		if rerr != nil {
 			writeError(w, classifyStatus(rerr), "discovery failed: %v", rerr)
 			return
 		}
-		s.maybeCache(d.id, p, resp)
 		writeJSON(w, http.StatusOK, resp)
 		return
 	}
@@ -283,25 +275,33 @@ func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 	// included) onto it, joining the job's log lines to the HTTP request
 	// that submitted it.
 	jctx := obs.ContextWithAttrs(s.baseCtx, append(obs.ContextAttrs(ctx), slog.String("job_id", j.id))...)
-	s.wg.Add(1)
 	go func() {
-		defer s.wg.Done()
-		defer s.jobs.release()
-		if s.testHookJobStart != nil {
-			s.testHookJobStart(d.id)
-		}
-		resp, rerr := s.runDiscovery(jctx, d, p)
-		s.recordOutcome(resp, rerr, true)
-		s.logOutcome(jctx, resp, rerr)
+		resp, rerr := s.serveDiscovery(jctx, d, p, true)
 		if rerr != nil {
 			j.finish(nil, rerr.Error())
 			return
 		}
-		s.maybeCache(d.id, p, resp)
 		j.finish(resp, "")
 	}()
 	w.Header().Set("Location", "/v1/jobs/"+j.id)
 	writeJSON(w, http.StatusAccepted, j.info())
+}
+
+// serveDiscovery is the one body of an admitted discovery, sync or
+// async: run it, record and log its outcome, and cache a complete
+// result. The caller holds an admission slot and a count on s.wg;
+// serveDiscovery releases both.
+func (s *Server) serveDiscovery(ctx context.Context, d *dataset, p discoverParams, async bool) (*DiscoverResponse, error) {
+	defer s.wg.Done()
+	defer s.jobs.release()
+	if s.testHookJobStart != nil {
+		s.testHookJobStart(d.id)
+	}
+	resp, err := s.runDiscovery(ctx, d, p)
+	s.recordOutcome(resp, err, async)
+	s.logOutcome(ctx, resp, err)
+	s.maybeCache(d.id, p, resp)
+	return resp, err
 }
 
 // logOutcome writes the one per-discovery summary line.
@@ -324,7 +324,7 @@ func (s *Server) logOutcome(ctx context.Context, resp *DiscoverResponse, err err
 }
 
 // maybeCache stores complete (non-partial) results under the fingerprint
-// they were actually computed from.
+// they were actually computed from; a failed discovery has no result.
 func (s *Server) maybeCache(datasetID string, p discoverParams, resp *DiscoverResponse) {
 	if resp == nil || resp.Partial {
 		return
@@ -337,17 +337,18 @@ func (s *Server) maybeCache(datasetID string, p discoverParams, resp *DiscoverRe
 func (s *Server) recordOutcome(resp *DiscoverResponse, err error, async bool) {
 	s.stats.mu.Lock()
 	defer s.stats.mu.Unlock()
-	s.stats.total++
+	d := &s.stats.disc
+	d.Total++
 	if async {
-		s.stats.async++
+		d.Async++
 	} else {
-		s.stats.sync++
+		d.Sync++
 	}
 	switch {
 	case err != nil:
-		s.stats.failed++
+		d.Failed++
 	case resp != nil && resp.Partial:
-		s.stats.partial++
+		d.Partial++
 	}
 }
 

@@ -61,26 +61,26 @@ func (j *job) info() JobInfo {
 	return info
 }
 
-// jobQueue is the admission controller: at most cap discoveries (sync
-// requests and async jobs alike) run concurrently; everything beyond is
-// rejected at submission time — never queued unboundedly — and the
-// handler answers 429 with Retry-After. Finished async jobs are retained
-// for polling, pruned oldest-first past maxRecords.
+// jobQueue is the admission controller: at most st.Cap discoveries
+// (sync requests and async jobs alike) run concurrently; everything
+// beyond is rejected at submission time — never queued unboundedly —
+// and the handler answers 429 with Retry-After. Finished async jobs are
+// retained for polling, pruned oldest-first past maxJobRecords.
 type jobQueue struct {
-	mu          sync.Mutex
-	cap         int
-	running     int
-	peakRunning int
-	admitted    int64
-	rejected    int64
-	nextID      int
-	jobs        map[string]*job
-	order       []string // creation order of retained async jobs
-	maxRecords  int
+	mu sync.Mutex
+	// st holds the admission state and counters as /v1/stats reports
+	// them; Retained is filled in by stats.
+	st     JobQueueStats
+	nextID int
+	jobs   map[string]*job
+	order  []string // creation order of retained async jobs
 }
 
-func newJobQueue(capJobs, maxRecords int) *jobQueue {
-	return &jobQueue{cap: capJobs, maxRecords: maxRecords, jobs: make(map[string]*job)}
+// maxJobRecords caps retained finished async job records.
+const maxJobRecords = 256
+
+func newJobQueue(capJobs int) *jobQueue {
+	return &jobQueue{st: JobQueueStats{Cap: capJobs}, jobs: make(map[string]*job)}
 }
 
 // tryAdmit claims one execution slot; the caller must release() it when
@@ -89,22 +89,20 @@ func newJobQueue(capJobs, maxRecords int) *jobQueue {
 func (q *jobQueue) tryAdmit() bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.running >= q.cap {
-		q.rejected++
+	if q.st.Running >= q.st.Cap {
+		q.st.Rejected++
 		return false
 	}
-	q.running++
-	q.admitted++
-	if q.running > q.peakRunning {
-		q.peakRunning = q.running
-	}
+	q.st.Running++
+	q.st.Admitted++
+	q.st.PeakRunning = max(q.st.PeakRunning, q.st.Running)
 	return true
 }
 
 func (q *jobQueue) release() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	q.running--
+	q.st.Running--
 }
 
 // add registers an async job record (the slot must already be admitted).
@@ -123,7 +121,7 @@ func (q *jobQueue) add(dataset, algorithm string) *job {
 	q.order = append(q.order, j.id)
 	// Prune oldest finished records over the retention cap; running jobs
 	// are never pruned.
-	for q.maxRecords > 0 && len(q.jobs) > q.maxRecords {
+	for len(q.jobs) > maxJobRecords {
 		pruned := false
 		for i, id := range q.order {
 			old := q.jobs[id]
@@ -154,12 +152,7 @@ func (q *jobQueue) get(id string) (*job, bool) {
 func (q *jobQueue) stats() JobQueueStats {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return JobQueueStats{
-		Cap:         q.cap,
-		Running:     q.running,
-		PeakRunning: q.peakRunning,
-		Admitted:    q.admitted,
-		Rejected:    q.rejected,
-		Retained:    len(q.jobs),
-	}
+	st := q.st
+	st.Retained = len(q.jobs)
+	return st
 }

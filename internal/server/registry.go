@@ -35,11 +35,10 @@ type dataset struct {
 	version int
 
 	// dur is the dataset's durable handle; nil when the server runs
-	// memory-only (no -data-dir). brokenErr is the sticky durability
-	// failure: once the WAL cannot be trusted to match memory the
+	// memory-only (no -data-dir). Its sticky error (dur.Err) is the
+	// dataset's: once the WAL cannot be trusted to match memory the
 	// dataset stops accepting appends and serves reads only.
-	dur       *durable.Dataset
-	brokenErr error
+	dur *durable.Dataset
 }
 
 // info snapshots the dataset's wire description.
@@ -92,17 +91,22 @@ var errDurability = fmt.Errorf("durability failure")
 // committed and the fingerprint reflects exactly them, so the dataset
 // remains consistent; the count of committed rows is returned either way.
 //
-// With durability on, the committed prefix is logged and fsync'd before
-// returning: the WAL frame is written under the dataset lock, then the
-// lock is released before the group-commit wait, so concurrent appends
-// to other datasets — and later appends to this one queued behind the
-// lock — overlap the fsync instead of serialising on it.
+// With durability on, a broken handle refuses the append before any row
+// reaches the miner — however it broke, including a failed WAL truncate
+// after a background compaction. Otherwise the committed prefix is
+// logged and fsync'd before returning: the WAL frame is written under
+// the dataset lock, then the lock is released before the group-commit
+// wait, so concurrent appends to other datasets — and later appends to
+// this one queued behind the lock — overlap the fsync instead of
+// serialising on it.
 func (d *dataset) appendRows(ctx context.Context, rows [][]string) (committed int, fp string, err error) {
 	d.mu.Lock()
-	if d.brokenErr != nil {
-		fp = d.fp
-		d.mu.Unlock()
-		return 0, fp, fmt.Errorf("%w: %v", errDurability, d.brokenErr)
+	if d.dur != nil {
+		if derr := d.dur.Err(); derr != nil {
+			fp = d.fp
+			d.mu.Unlock()
+			return 0, fp, fmt.Errorf("%w: %v", errDurability, derr)
+		}
 	}
 	for _, row := range rows {
 		if ierr := d.miner.InsertCtx(ctx, row); ierr != nil {
@@ -121,21 +125,14 @@ func (d *dataset) appendRows(ctx context.Context, rows [][]string) (committed in
 		d.mu.Unlock()
 		return committed, fp, err
 	}
-	// A WAL write failure supersedes any insert error: the dataset is now
+	// A WAL write failure supersedes any insert error: the handle is now
 	// broken and the caller must not acknowledge the batch.
 	tok, werr := d.dur.Append(rows[:committed], d.miner.Rows(), d.fp)
+	d.mu.Unlock()
 	if werr != nil {
-		d.brokenErr = werr
-		d.mu.Unlock()
 		return committed, fp, fmt.Errorf("%w: %v", errDurability, werr)
 	}
-	d.mu.Unlock()
 	if serr := d.dur.Sync(tok); serr != nil {
-		d.mu.Lock()
-		if d.brokenErr == nil {
-			d.brokenErr = serr
-		}
-		d.mu.Unlock()
 		return committed, fp, fmt.Errorf("%w: %v", errDurability, serr)
 	}
 	return committed, fp, err
@@ -228,24 +225,19 @@ func (r *registry) register(name string, m *incremental.Miner, now time.Time, cr
 
 // restore publishes a dataset recovered from disk at boot: the
 // incremental session grows the recovered columns directly, and the
-// fingerprint is recomputed once more on the registry's own hasher — a
-// final cross-check that the recovered content is exactly what was
-// acknowledged.
+// running fingerprint continues the hasher recovery verified the content
+// with, so boot hashes each dataset once.
 func (r *registry) restore(rd durable.RecoveredDataset, dur *durable.Dataset, now time.Time) error {
 	m, err := incremental.FromRelation(rd.Relation)
 	if err != nil {
 		return fmt.Errorf("restoring %s: %w", rd.ID, err)
-	}
-	h := durable.FingerprintOf(rd.Relation)
-	if got := h.Sum(); got != rd.Fingerprint {
-		return fmt.Errorf("restoring %s: rebuilt fingerprint %s does not match recovered %s", rd.ID, got, rd.Fingerprint)
 	}
 	d := &dataset{
 		id:      rd.ID,
 		name:    rd.Name,
 		created: now,
 		miner:   m,
-		hasher:  h,
+		hasher:  rd.Hasher,
 		fp:      rd.Fingerprint,
 		dur:     dur,
 	}

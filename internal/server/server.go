@@ -47,6 +47,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pstore"
 	"repro/internal/tane"
+	"repro/wire"
 )
 
 // Config bounds the server. The zero value is usable: every field has a
@@ -69,8 +70,6 @@ type Config struct {
 	MaxBodyBytes int64
 	// MaxDatasets caps the registry. Default 64.
 	MaxDatasets int
-	// MaxJobRecords caps retained finished async job records. Default 256.
-	MaxJobRecords int
 	// CacheEntries caps the result cache. Default 128.
 	CacheEntries int
 	// RetryAfter is the delay hinted in the Retry-After header of 429
@@ -129,9 +128,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxDatasets <= 0 {
 		c.MaxDatasets = 64
-	}
-	if c.MaxJobRecords <= 0 {
-		c.MaxJobRecords = 256
 	}
 	if c.CacheEntries <= 0 {
 		c.CacheEntries = 128
@@ -201,7 +197,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:        cfg,
 		reg:        newRegistry(cfg.MaxDatasets),
 		cache:      newResultCache(cfg.CacheEntries),
-		jobs:       newJobQueue(cfg.MaxJobs, cfg.MaxJobRecords),
+		jobs:       newJobQueue(cfg.MaxJobs),
 		mux:        http.NewServeMux(),
 		baseCtx:    ctx,
 		baseCancel: cancel,
@@ -211,7 +207,7 @@ func New(cfg Config) (*Server, error) {
 	if s.log == nil {
 		s.log = obs.Nop()
 	}
-	s.stats.phases = make(map[string]time.Duration)
+	s.stats.disc.PhaseTotalMS = make(map[string]float64)
 	s.plans = newPlanCache(planCacheCap)
 	if len(cfg.WorkerEndpoints) > 0 {
 		co, err := newCoordinator(cfg.WorkerEndpoints)
@@ -334,28 +330,23 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return drainErr
 }
 
-// discoveryStats aggregates per-phase timings (from Result.Stats) and
-// partition-store counters across every discovery the process ran.
+// discoveryStats holds the server's own counters, each as the /v1/stats
+// section it renders into (metrics.go): discovery outcomes and per-phase
+// timings (from Result.Stats), partition-store and spill traffic, and
+// distributed-discovery activity (shard.go), across every discovery the
+// process ran.
 type discoveryStats struct {
-	mu      sync.Mutex
-	total   int64
-	partial int64
-	failed  int64
-	sync    int64
-	async   int64
-	phases  map[string]time.Duration
-	pstore  pstore.Stats
-	spill   extsort.Stats
-	// shard aggregates distributed-discovery activity (shard.go).
-	shard shardCounters
+	mu     sync.Mutex
+	disc   DiscoveryStats
+	pstore PstoreStats
+	spill  extsort.Stats
+	shard  wire.ShardStats
 }
 
 func (d *discoveryStats) addPhases(st core.Stats) {
-	d.phases["partition"] += st.Partition.Duration
-	d.phases["agree_sets"] += st.AgreeSets.Duration
-	d.phases["max_sets"] += st.MaxSets.Duration
-	d.phases["lhs"] += st.LHS.Duration
-	d.phases["armstrong"] += st.Armstrong.Duration
+	for _, ph := range st.Phases() {
+		d.disc.PhaseTotalMS[ph.Name] += millis(ph.Duration)
+	}
 }
 
 // logPhases emits the per-discovery phase span event: Result.Stats
@@ -363,12 +354,11 @@ func (d *discoveryStats) addPhases(st core.Stats) {
 // context's attributes. The same numbers accumulate into
 // phase_seconds_total; this is the per-request view of them.
 func (s *Server) logPhases(ctx context.Context, st core.Stats) {
-	obs.Event(ctx, s.log, "discovery phases",
-		slog.Duration("partition", st.Partition.Duration),
-		slog.Duration("agree_sets", st.AgreeSets.Duration),
-		slog.Duration("max_sets", st.MaxSets.Duration),
-		slog.Duration("lhs", st.LHS.Duration),
-		slog.Duration("armstrong", st.Armstrong.Duration))
+	var attrs []slog.Attr
+	for _, ph := range st.Phases() {
+		attrs = append(attrs, slog.Duration(ph.Name, ph.Duration))
+	}
+	obs.Event(ctx, s.log, "discovery phases", attrs...)
 }
 
 func (d *discoveryStats) addPstore(st pstore.Stats) {
@@ -376,9 +366,7 @@ func (d *discoveryStats) addPstore(st pstore.Stats) {
 	d.pstore.Misses += st.Misses
 	d.pstore.Evictions += st.Evictions
 	d.pstore.Recomputes += st.Recomputes
-	if st.PeakBytes > d.pstore.PeakBytes {
-		d.pstore.PeakBytes = st.PeakBytes
-	}
+	d.pstore.PeakBytes = max(d.pstore.PeakBytes, st.PeakBytes)
 }
 
 // discoverParams is a resolved, clamped discovery request.
@@ -556,7 +544,7 @@ func finishResponse(resp *DiscoverResponse, cover fd.Cover, partial bool, runErr
 		resp.Error = runErr.Error()
 	}
 	resp.BudgetUsed = budget.Used()
-	resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
+	resp.ElapsedMS = millis(time.Since(start))
 	return resp, nil
 }
 
@@ -577,7 +565,7 @@ func (s *Server) runIncremental(ctx context.Context, d *dataset, p discoverParam
 		Rows:        info.Rows,
 		Attributes:  info.Attributes,
 		FDs:         renderCover(cover, info.Names),
-		ElapsedMS:   float64(time.Since(start)) / float64(time.Millisecond),
+		ElapsedMS:   millis(time.Since(start)),
 	}
 	return resp, nil
 }

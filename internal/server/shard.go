@@ -91,30 +91,6 @@ func newCoordinator(endpoints []string) (*coordinator, error) {
 	return co, nil
 }
 
-// discSource is the input of one depminer discovery: the dataset's
-// relation view pinned to the fingerprint it was taken at. Its stripped
-// partition database is built from the view at most once, on first use
-// (database), so no discovery builds the partitions twice.
-type discSource struct {
-	rel *relation.Relation
-	fp  string
-	db  *partition.Database // nil until built
-	// build is how long building db took here (zero until built); it is
-	// reported as the partition phase.
-	build time.Duration
-}
-
-// database returns the stripped partition database, building it from the
-// relation on first use.
-func (src *discSource) database() *partition.Database {
-	if src.db == nil {
-		t0 := time.Now()
-		src.db = partition.NewDatabase(src.rel)
-		src.build = time.Since(t0)
-	}
-	return src.db
-}
-
 // coreOptions maps resolved request params onto pipeline options.
 func (s *Server) coreOptions(p discoverParams, budget *guard.Budget) core.Options {
 	opts := core.Options{
@@ -138,21 +114,20 @@ func (s *Server) coreOptions(p discoverParams, budget *guard.Budget) core.Option
 // the worker fleet when this server is a coordinator, locally otherwise.
 func (s *Server) runDepminer(ctx context.Context, d *dataset, p discoverParams, start time.Time, budget *guard.Budget) (*DiscoverResponse, error) {
 	rel, fp := d.snapshot()
-	src := &discSource{rel: rel, fp: fp}
 	resp := &DiscoverResponse{
 		Dataset:     d.id,
-		Fingerprint: src.fp,
+		Fingerprint: fp,
 		Algorithm:   p.algorithm,
-		Rows:        src.rel.Rows(),
-		Attributes:  src.rel.Arity(),
+		Rows:        rel.Rows(),
+		Attributes:  rel.Arity(),
 	}
 	if s.coord != nil {
-		return s.runSharded(ctx, d, p, start, budget, src, resp)
+		return s.runSharded(ctx, d, p, start, budget, rel, fp, resp)
 	}
 	// Discover builds the partition database from the view itself, as
 	// its timed partition phase.
-	res, runErr := core.Discover(ctx, src.rel, s.coreOptions(p, budget))
-	return s.finishDepminer(ctx, resp, res, runErr, src.rel.Names(), start, budget)
+	res, runErr := core.Discover(ctx, rel, s.coreOptions(p, budget))
+	return s.finishDepminer(ctx, resp, res, runErr, rel.Names(), start, budget)
 }
 
 // finishDepminer is the one response and stats tail of a depminer
@@ -192,14 +167,21 @@ func (s *Server) finishDepminer(ctx context.Context, resp *DiscoverResponse, res
 // make the outcome partial; nothing can make it wrong — a stream that
 // fails verification is discarded and its shard recomputed. A governed
 // cutoff before the merge keeps the topology and couple count in the
-// response but reports no cover.
-func (s *Server) runSharded(ctx context.Context, d *dataset, p discoverParams, start time.Time, budget *guard.Budget, src *discSource, resp *DiscoverResponse) (*DiscoverResponse, error) {
+// response but reports no cover. rel is the dataset's view at
+// fingerprint fp.
+func (s *Server) runSharded(ctx context.Context, d *dataset, p discoverParams, start time.Time, budget *guard.Budget, rel *relation.Relation, fp string, resp *DiscoverResponse) (*DiscoverResponse, error) {
 	// The coordinator plans through the same fingerprint-keyed cache the
 	// workers use: replanning an unchanged dataset would re-sort the
 	// whole couple space on every discovery for nothing. An append
-	// changes the fingerprint, so a cached plan can never be stale.
-	plan, err := s.plans.get(src.fp, func() (*agree.Plan, error) {
-		return agree.NewPlan(src.database()), nil
+	// changes the fingerprint, so a cached plan can never be stale. The
+	// partition build is timed only when this discovery plans; a cached
+	// plan reports no partition phase.
+	var build time.Duration
+	plan, err := s.plans.get(fp, func() (*agree.Plan, error) {
+		t0 := time.Now()
+		db := partition.NewDatabase(rel)
+		build = time.Since(t0)
+		return agree.NewPlan(db), nil
 	})
 	if err != nil {
 		return nil, err
@@ -246,7 +228,7 @@ func (s *Server) runSharded(ctx context.Context, d *dataset, p discoverParams, s
 	dctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	run := &shardRun{
-		s: s, d: d, p: p, src: src, plan: plan,
+		s: s, d: d, p: p, rel: rel, fp: fp, plan: plan,
 		variant: variant, algo: algo, budget: budget, sp: sp, cancel: cancel,
 	}
 	defer run.flushStats()
@@ -307,19 +289,19 @@ func (s *Server) runSharded(ctx context.Context, d *dataset, p discoverParams, s
 		slog.Int("sets", len(fam)),
 		slog.Duration("merge", run.mergeDur))
 
-	res, runErr := core.DiscoverFromAgreeSets(ctx, src.rel, fam, src.rel.Arity(), opts)
+	res, runErr := core.DiscoverFromAgreeSets(ctx, rel, fam, rel.Arity(), opts)
 	if res != nil {
 		// The agree-set counters are the fan-out's: the coordinator's
 		// couple count and note, the distributed sweep on its clock, and
 		// the spill traffic of the merge plus the local-fallback shards.
 		res.Couples = plan.Couples()
 		res.Notes = append(resp.Notes, res.Notes...)
-		res.Stats.Partition.Duration = src.build
+		res.Stats.Partition.Duration = build
 		res.Stats.AgreeSets.Duration = agreeDur
 		res.Stats.Spill = sp.Stats()
 		res.Stats.Spill.Add(run.spill)
 	}
-	return s.finishDepminer(ctx, resp, res, runErr, src.rel.Names(), start, budget)
+	return s.finishDepminer(ctx, resp, res, runErr, rel.Names(), start, budget)
 }
 
 // shardRun is the mutable state of one fan-out.
@@ -327,7 +309,8 @@ type shardRun struct {
 	s       *Server
 	d       *dataset
 	p       discoverParams
-	src     *discSource
+	rel     *relation.Relation
+	fp      string
 	plan    *agree.Plan
 	variant agree.Variant
 	algo    string
@@ -422,7 +405,7 @@ func (r *shardRun) tryRemote(ctx context.Context, i int, sh agree.Shard) error {
 	ctx = client.WithRequestID(ctx, obs.RequestID(ctx))
 	cl := r.s.coord.clients[i%len(r.s.coord.clients)]
 	req := wire.ShardRequest{
-		Fingerprint:   r.src.fp,
+		Fingerprint:   r.fp,
 		Algorithm:     r.algo,
 		CoupleStart:   sh.Start,
 		CoupleEnd:     sh.End,
@@ -524,7 +507,7 @@ func (r *shardRun) pushDataset(ctx context.Context, cl *client.Client) error {
 func (r *shardRun) datasetCSV() ([]byte, error) {
 	r.csvOnce.Do(func() {
 		var buf bytes.Buffer
-		if err := r.src.rel.WriteCSV(&buf); err != nil {
+		if err := r.rel.WriteCSV(&buf); err != nil {
 			r.csvErr = err
 			return
 		}
@@ -540,15 +523,16 @@ func (r *shardRun) flushStats() {
 	st := &r.s.stats
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	st.shard.dispatched += int64(r.attempted)
-	st.shard.remote += int64(r.remote)
-	st.shard.localFallbacks += int64(r.local)
-	st.shard.datasetsPushed += r.pushed
-	st.shard.receivedSets += r.receivedSets
-	st.shard.receivedBytes += r.receivedBytes
-	st.shard.dispatchTime += r.dispatchDur
-	st.shard.streamTime += r.streamDur
-	st.shard.mergeTime += r.mergeDur
+	sh := &st.shard
+	sh.Dispatched += int64(r.attempted)
+	sh.Remote += int64(r.remote)
+	sh.LocalFallbacks += int64(r.local)
+	sh.DatasetsPushed += r.pushed
+	sh.ReceivedSets += r.receivedSets
+	sh.ReceivedBytes += r.receivedBytes
+	sh.DispatchTotalMS += millis(r.dispatchDur)
+	sh.StreamTotalMS += millis(r.streamDur)
+	sh.MergeTotalMS += millis(r.mergeDur)
 }
 
 // countingReader counts stream bytes for the fan-out stats.
@@ -561,28 +545,6 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	n, err := c.r.Read(p)
 	c.n += int64(n)
 	return n, err
-}
-
-// shardCounters aggregates distributed-discovery activity, guarded by
-// discoveryStats.mu. Coordinator counters cover fan-out, worker
-// counters cover shard serving; one process can be both.
-type shardCounters struct {
-	dispatched     int64
-	remote         int64
-	localFallbacks int64
-	datasetsPushed int64
-	receivedSets   int64
-	receivedBytes  int64
-	dispatchTime   time.Duration
-	streamTime     time.Duration
-	mergeTime      time.Duration
-	served         int64
-	servedSets     int64
-	servedErrors   int64
-}
-
-func (c shardCounters) active() bool {
-	return c.dispatched != 0 || c.served != 0 || c.servedErrors != 0
 }
 
 // errShardStale marks a fingerprint that matched at lookup but not at
@@ -642,7 +604,7 @@ func (pc *planCache) get(fp string, build func() (*agree.Plan, error)) (*agree.P
 
 func (s *Server) noteShardServedError() {
 	s.stats.mu.Lock()
-	s.stats.shard.servedErrors++
+	s.stats.shard.ServedErrors++
 	s.stats.mu.Unlock()
 }
 
@@ -764,8 +726,8 @@ func (s *Server) handleShardAgree(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set(wire.ShardSetsTrailer, strconv.FormatInt(res.Sets, 10))
 	s.stats.mu.Lock()
-	s.stats.shard.served++
-	s.stats.shard.servedSets += res.Sets
+	s.stats.shard.Served++
+	s.stats.shard.ServedSets += res.Sets
 	s.stats.mu.Unlock()
 	// The context carries the coordinator's request id (adopted by the
 	// middleware from the dispatch header), so this line joins the

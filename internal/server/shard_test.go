@@ -562,7 +562,7 @@ func TestShardAgreeEndpoint(t *testing.T) {
 			t.Errorf("%s: status %d, want %d", name, code, tc.code)
 		}
 	}
-	if s.stats.shard.servedErrors == 0 {
+	if s.stats.shard.ServedErrors == 0 {
 		t.Error("served-error counter never moved")
 	}
 }
